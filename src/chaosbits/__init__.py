@@ -59,13 +59,12 @@ from .cipher import (
     write_pgm,
     xor_cipher,
 )
-from .cli import SCHEMES, SchemeSpec, resolve_scheme
+from .cli import SCHEMES
 from .generator import (
     ChaoticBitGenerator,
     DegenerateSeedError,
     GeneratorConfig,
     GeneratorState,
-    LogisticDriver,
     SeedSpec,
     TranscriptDriver,
     TranscriptExhausted,
@@ -93,7 +92,6 @@ __all__ = [
     "DegenerateSeedError",
     "GeneratorConfig",
     "GeneratorState",
-    "LogisticDriver",
     "SeedSpec",
     "TranscriptDriver",
     "TranscriptExhausted",
@@ -150,8 +148,6 @@ __all__ = [
     "xor_cipher",
     # cli
     "SCHEMES",
-    "SchemeSpec",
-    "resolve_scheme",
     # special functions
     "erfc",
     "gammainc_upper",

@@ -10,12 +10,12 @@ component with a strategy-prefix component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .generator import ChaoticBitGenerator, GeneratorConfig, TranscriptDriver
+from .generator import ChaoticBitGenerator, GeneratorConfig, TranscriptDriver, require_int
 
 __all__ = [
     "CorrelationSeries",
@@ -115,8 +115,7 @@ def autocorrelation(bits, max_lag: int) -> CorrelationSeries:
     """
     x = _pm_one(bits)
     n = x.size
-    if not isinstance(max_lag, int) or isinstance(max_lag, bool) or max_lag < 1:
-        raise ValueError(f"autocorrelation: max_lag must be a positive integer, got {max_lag!r}")
+    require_int(max_lag, "autocorrelation: max_lag", 1)
     if n <= max_lag:
         raise ValueError(f"autocorrelation: sequence length {n} must exceed max_lag {max_lag}")
     a = x - x.mean()
@@ -143,8 +142,7 @@ def cross_correlation(bits_a, bits_b, max_lag: int) -> CorrelationSeries:
     if xa.size != xb.size:
         raise ValueError(f"cross_correlation: lengths differ ({xa.size} vs {xb.size})")
     n = xa.size
-    if not isinstance(max_lag, int) or isinstance(max_lag, bool) or max_lag < 0:
-        raise ValueError(f"cross_correlation: max_lag must be a non-negative integer, got {max_lag!r}")
+    require_int(max_lag, "cross_correlation: max_lag", 0)
     if n <= max_lag:
         raise ValueError(f"cross_correlation: sequence length {n} must exceed max_lag {max_lag}")
     a = xa - xa.mean()
@@ -204,7 +202,7 @@ class _Budget:
     def step(self, gen: ChaoticBitGenerator) -> None:
         if self.used >= self.limit:
             raise _BudgetHit
-        gen.advance_block()
+        gen.next_block()
         self.used += 1
 
 
@@ -226,8 +224,9 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
     ``budget`` state steps a BudgetExceeded result is returned rather
     than an error or a guess.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ValueError(f"detect_cycle: budget must be a positive integer, got {budget!r}")
+    require_int(budget, "detect_cycle: budget", 1)
+    # Orbit elements are driven blocks, so the seed vector is never echoed.
+    config = replace(config, emit_initial=False)
 
     def fresh() -> ChaoticBitGenerator:
         driver = None
@@ -295,10 +294,8 @@ def ideal_period(n_m: int, n_s: int) -> int:
     and applying the same mask again cancels it.  Equality is the
     ideal, non-degenerate case; divisibility is what is guaranteed.
     """
-    if not isinstance(n_m, int) or isinstance(n_m, bool) or n_m < 1:
-        raise ValueError(f"ideal_period: n_m must be a positive integer, got {n_m!r}")
-    if not isinstance(n_s, int) or isinstance(n_s, bool) or n_s < 1:
-        raise ValueError(f"ideal_period: n_s must be a positive integer, got {n_s!r}")
+    require_int(n_m, "ideal_period: n_m", 1)
+    require_int(n_s, "ideal_period: n_s", 1)
     return 2 * n_m * n_s
 
 
@@ -336,8 +333,7 @@ def phase_distance(
     sb = tuple(int(v) for v in s_b)
     if any(not 1 <= v <= n for v in sa + sb):
         raise ValueError(f"phase_distance: strategy values must lie in [1, {n}]")
-    if not isinstance(prefix_k, int) or isinstance(prefix_k, bool) or prefix_k < 0:
-        raise ValueError(f"phase_distance: prefix_k must be a non-negative integer, got {prefix_k!r}")
+    require_int(prefix_k, "phase_distance: prefix_k", 0)
     d_e = sum(1 for u, v in zip(ea, eb) if u != v)
     k_eff = min(len(sa), len(sb), prefix_k)
     acc = 0.0
@@ -355,8 +351,6 @@ def phase_distance_tail_bound(n_cells: int, prefix_k: int) -> float:
     Each neglected term is at most (N-1)/10^k, so the tail after K
     terms is bounded by (9/N) * (N-1) * 10^-K / 9 = ((N-1)/N) * 10^-K.
     """
-    if not isinstance(n_cells, int) or isinstance(n_cells, bool) or n_cells < 1:
-        raise ValueError(f"phase_distance_tail_bound: n_cells must be a positive integer, got {n_cells!r}")
-    if not isinstance(prefix_k, int) or isinstance(prefix_k, bool) or prefix_k < 0:
-        raise ValueError(f"phase_distance_tail_bound: prefix_k must be a non-negative integer, got {prefix_k!r}")
+    require_int(n_cells, "phase_distance_tail_bound: n_cells", 1)
+    require_int(prefix_k, "phase_distance_tail_bound: prefix_k", 0)
     return (n_cells - 1) / n_cells * 10.0 ** (-prefix_k)

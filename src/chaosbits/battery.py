@@ -33,6 +33,7 @@ from .generator import (
     SeedSpec,
     config_to_text,
     generate_bits,
+    require_int,
 )
 from .special import erfc, gammainc_upper
 
@@ -110,8 +111,7 @@ def block_frequency(bits, block_len: int = 20000, relaxed: bool = False) -> Test
     """
     b = _as_bits(bits)
     n = b.size
-    if not isinstance(block_len, int) or isinstance(block_len, bool) or block_len < 1:
-        raise ValueError(f"block_frequency: block_len must be a positive integer, got {block_len!r}")
+    require_int(block_len, "block_frequency: block_len", 1)
     if block_len < 20 and not relaxed:
         raise ValueError(
             f"block_frequency: block_len {block_len} is below the minimum 20; relaxed mode lowers it"
@@ -271,8 +271,7 @@ def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestRe
     """
     b = _as_bits(bits)
     n = b.size
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"serial: pattern length m must be an integer >= 2, got {m!r}")
+    require_int(m, "serial: pattern length m", 2)
     _require_length(n, max(100, 1 << (m + 3)), max(2, m), relaxed, "serial")
     psi_m = _psi_sq(b, m)
     psi_m1 = _psi_sq(b, m - 1)
@@ -296,8 +295,7 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     """
     b = _as_bits(bits)
     n = b.size
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"approximate-entropy: pattern length m must be an integer >= 1, got {m!r}")
+    require_int(m, "approximate-entropy: pattern length m", 1)
     _require_length(n, max(100, 1 << (m + 6)), max(2, m + 1), relaxed, "approximate-entropy")
 
     def phi(mm: int) -> float:
@@ -416,10 +414,8 @@ def run_battery(
     sequence, since it admits no schedule.  A sequence that fails to
     generate aborts the whole batch with context.
     """
-    if not isinstance(n_sequences, int) or isinstance(n_sequences, bool) or n_sequences < 1:
-        raise ValueError(f"run_battery: n_sequences must be a positive integer, got {n_sequences!r}")
-    if not isinstance(seq_len, int) or isinstance(seq_len, bool) or seq_len < 1:
-        raise ValueError(f"run_battery: seq_len must be a positive integer, got {seq_len!r}")
+    require_int(n_sequences, "run_battery: n_sequences", 1)
+    require_int(seq_len, "run_battery: seq_len", 1)
     if config.seed.t is None and n_sequences > 1:
         raise ValueError(
             "run_battery: multiple sequences need a time-derived master seed "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import ChaoticBitGenerator, GeneratorConfig, pack_bits
+from .generator import ChaoticBitGenerator, GeneratorConfig, pack_bits, require_int
 
 __all__ = [
     "GrayscaleImage",
@@ -48,10 +48,8 @@ class GrayscaleImage:
     pixels: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or isinstance(self.width, bool) or self.width < 1:
-            raise ValueError(f"GrayscaleImage: width must be a positive integer, got {self.width!r}")
-        if not isinstance(self.height, int) or isinstance(self.height, bool) or self.height < 1:
-            raise ValueError(f"GrayscaleImage: height must be a positive integer, got {self.height!r}")
+        require_int(self.width, "GrayscaleImage: width", 1)
+        require_int(self.height, "GrayscaleImage: height", 1)
         object.__setattr__(self, "pixels", bytes(self.pixels))
         if len(self.pixels) != self.width * self.height:
             raise ValueError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from .analysis import (
     BudgetExceeded,
@@ -55,7 +54,7 @@ from .generator import (
     transcript_from_text,
 )
 
-__all__ = ["SCHEMES", "SchemeSpec", "resolve_scheme", "main"]
+__all__ = ["SCHEMES", "main"]
 
 # Named schemes: (n_cells, m_set).
 SCHEMES: dict[str, tuple[int, tuple[int, ...]]] = {
@@ -66,22 +65,6 @@ SCHEMES: dict[str, tuple[int, tuple[int, ...]]] = {
     "scheme-5": (5, (9, 10)),
     "scheme-6": (5, (14, 15)),
 }
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """A named scheme resolved to a concrete generator configuration."""
-
-    name: str
-    config: GeneratorConfig
-
-
-def resolve_scheme(name: str, seed: SeedSpec, emit_initial: bool = True) -> SchemeSpec:
-    """Build the configuration of a named scheme around a seed."""
-    if name not in SCHEMES:
-        raise ValueError(f"unknown scheme {name!r}; known: {', '.join(sorted(SCHEMES))}")
-    n_cells, m_set = SCHEMES[name]
-    return SchemeSpec(name=name, config=GeneratorConfig(n_cells, m_set, seed, emit_initial))
 
 
 def _time_seed() -> int:

@@ -17,9 +17,12 @@ seed y^0, the first driven block takes its gap from y^0 and its m
 strategy values from y^1 ... y^m, and the following block's gap comes
 from y^(m+1).
 
-Blocks can instead be driven by explicit gap/strategy transcripts
-(`TranscriptDriver`), which makes short traces exactly reproducible
-independent of the logistic driver.
+Passing a `TranscriptDriver` as ``driver=`` replaces the logistic
+orbit with explicit gap/strategy transcripts, which makes short traces
+exactly reproducible.  The module-level helpers (`logistic_step`,
+`strategy_from_y`, `m_from_y`, `chaotic_step`) produce no output; they
+are the per-sample reference the generator's block loop is tested
+against.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "SeedSpec",
     "GeneratorConfig",
     "GeneratorState",
-    "LogisticDriver",
     "TranscriptDriver",
     "ChaoticBitGenerator",
     "generate_bits",
@@ -65,6 +67,13 @@ class DegenerateSeedError(Exception):
 
 class TranscriptExhausted(Exception):
     """A non-cycling forced transcript ran out of values."""
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """Return value if it is an int (not a bool) >= minimum, else raise ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 # Seeds that collapse onto a logistic fixed point within two steps.
@@ -149,8 +158,7 @@ def seed_from_time(t: int, n_cells: int) -> tuple[tuple[int, ...], float]:
     significant bit in component 1.  Degenerate y0 values are rejected
     with an error instructing a re-seed.
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"seed_from_time: t must be a non-negative integer, got {t!r}")
+    require_int(t, "seed_from_time: t", 0)
     if n_cells < 2:
         raise ValueError(f"seed_from_time: n_cells must be >= 2, got {n_cells}")
     y0 = t / 10 ** len(str(t))
@@ -188,8 +196,7 @@ class SeedSpec:
         if time_form and explicit_form:
             raise ValueError("SeedSpec: give either t or (x0, y0), not both")
         if time_form:
-            if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 0:
-                raise ValueError(f"SeedSpec: t must be a non-negative integer, got {self.t!r}")
+            require_int(self.t, "SeedSpec: t", 0)
         else:
             if self.x0 is None or self.y0 is None:
                 raise ValueError("SeedSpec: explicit form needs both x0 and y0")
@@ -231,8 +238,7 @@ class GeneratorConfig:
     emit_initial: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_cells, int) or isinstance(self.n_cells, bool) or self.n_cells < 2:
-            raise ValueError(f"GeneratorConfig: n_cells must be an integer >= 2, got {self.n_cells!r}")
+        require_int(self.n_cells, "GeneratorConfig: n_cells", 2)
         m = tuple(int(v) for v in self.m_set)
         if not m:
             raise ValueError("GeneratorConfig: m_set must be non-empty")
@@ -259,34 +265,6 @@ class GeneratorState:
     y: float
     iter_count: int
     blocks_emitted: int
-
-
-class LogisticDriver:
-    """Shared logistic sample stream; ``y`` is the next unconsumed sample."""
-
-    __slots__ = ("y",)
-
-    def __init__(self, y0: float) -> None:
-        self.y = _check_y0(y0)
-
-    def _draw(self) -> float:
-        v = self.y
-        nxt = 4.0 * v * (1.0 - v)
-        if nxt == v:
-            raise DegenerateSeedError(
-                f"logistic driver reached fixed point y={v!r}; the seed is dead"
-            )
-        self.y = nxt
-        return v
-
-    def next_gap(self, m_set: Sequence[int]) -> int:
-        return m_from_y(self._draw(), m_set)
-
-    def next_strategy(self, n_cells: int) -> int:
-        return strategy_from_y(self._draw(), n_cells)
-
-    def key(self) -> tuple:
-        return ("logistic", self.y)
 
 
 class TranscriptDriver:
@@ -341,22 +319,27 @@ class TranscriptDriver:
 
 
 class ChaoticBitGenerator:
-    """Sequential block/bit emitter combining a driver with cell updates.
+    """Sequential block/bit emitter: one logistic orbit driving cell updates.
+
+    The generator holds the logistic state itself.  ``driver`` is
+    either None (the logistic orbit seeded from ``config.seed``) or a
+    `TranscriptDriver`, which replaces the orbit with explicit gap and
+    strategy sequences.
 
     Instances are plain sequential state machines: no internal
     concurrency, safe to move between threads between calls.  Distinct
     instances are fully independent.
     """
 
-    def __init__(self, config: GeneratorConfig, driver=None) -> None:
+    def __init__(self, config: GeneratorConfig, driver: TranscriptDriver | None = None) -> None:
         if not isinstance(config, GeneratorConfig):
             raise TypeError("config must be a GeneratorConfig")
         self.config = config
         n = config.n_cells
         x0, y0 = config.seed.resolve(n)
-        if driver is None:
-            driver = LogisticDriver(y0)
-        self._driver = driver
+        self._transcript = driver
+        # The next unconsumed logistic sample; a transcript has none.
+        self._y = y0 if driver is None else math.nan
         self._n = n
         mask = 0
         for b in x0:
@@ -365,7 +348,7 @@ class ChaoticBitGenerator:
         self._iter_count = 0
         self._blocks_emitted = 0
         self._initial_pending = bool(config.emit_initial)
-        self._pending_bits: list[int] = []
+        self._pending_bits = np.empty(0, dtype=np.uint8)
 
     # -- state inspection ---------------------------------------------
 
@@ -375,44 +358,50 @@ class ChaoticBitGenerator:
 
     @property
     def state(self) -> GeneratorState:
-        y = self._driver.y if isinstance(self._driver, LogisticDriver) else math.nan
         return GeneratorState(
             x=self._mask_tuple(self._mask),
-            y=y,
+            y=self._y,
             iter_count=self._iter_count,
             blocks_emitted=self._blocks_emitted,
         )
 
     def state_key(self) -> tuple:
-        """Hashable full digital state: cell vector plus driver state.
+        """Hashable full digital state: cell mask plus driver state.
 
-        Excludes emission bookkeeping; two generators with equal keys
-        produce identical futures under advance_block.
+        The driver state is the logistic y, or the transcript's key when
+        a transcript drives the generator.  Excludes emission
+        bookkeeping; two generators with equal keys and no pending
+        initial emission produce identical futures under next_block.
         """
-        return (self._mask, self._driver.key())
+        if self._transcript is None:
+            return (self._mask, self._y)
+        return (self._mask, self._transcript.key())
 
     # -- block production ---------------------------------------------
 
     def _advance_masks(self, nblocks: int) -> list[int]:
         """Run nblocks driven blocks, returning the emitted cell masks.
 
-        On a degenerate-driver error mid-block the generator is left in
-        the state reached at the failure point and the error
-        propagates; the failing sample is never consumed.
+        This loop is the only code that turns driver samples into cell
+        masks.  Without a transcript it runs the logistic recurrence
+        inline, with the same arithmetic as logistic_step, m_from_y,
+        strategy_from_y and chaotic_step.  On an error mid-block (a
+        degenerate orbit, an exhausted transcript or an out-of-range
+        strategy) the generator is left in the state reached at the
+        failure point and the error propagates; a failing logistic
+        sample is never consumed.
         """
-        driver = self._driver
+        transcript = self._transcript
         n = self._n
         mset = self.config.m_set
+        k = len(mset)
+        y = self._y
+        mask = self._mask
+        iters = 0
         masks: list[int] = []
-        if type(driver) is LogisticDriver:
-            # Hot path: same arithmetic as the module-level operations,
-            # inlined because this loop dominates generation time.
-            y = driver.y
-            k = len(mset)
-            mask = self._mask
-            iters = 0
-            append = masks.append
-            try:
+        append = masks.append
+        try:
+            if transcript is None:
                 for _ in range(nblocks):
                     i = int(y * k)
                     m = mset[i if i < k else k - 1]
@@ -433,20 +422,17 @@ class ChaoticBitGenerator:
                         mask ^= 1 << (n - s)
                         iters += 1
                     append(mask)
-            finally:
-                driver.y = y
-                self._mask = mask
-                self._iter_count += iters
-                self._blocks_emitted += len(masks)
-            return masks
-        for _ in range(nblocks):
-            m = driver.next_gap(mset)
-            for _ in range(m):
-                s = driver.next_strategy(n)
-                self._mask ^= 1 << (n - s)
-                self._iter_count += 1
-            self._blocks_emitted += 1
-            masks.append(self._mask)
+            else:
+                for _ in range(nblocks):
+                    for _ in range(transcript.next_gap(mset)):
+                        mask ^= 1 << (n - transcript.next_strategy(n))
+                        iters += 1
+                    append(mask)
+        finally:
+            self._y = y
+            self._mask = mask
+            self._iter_count += iters
+            self._blocks_emitted += len(masks)
         return masks
 
     def next_block(self) -> tuple[int, ...]:
@@ -461,16 +447,6 @@ class ChaoticBitGenerator:
             return self._mask_tuple(self._mask)
         return self._mask_tuple(self._advance_masks(1)[0])
 
-    def advance_block(self) -> tuple[int, ...]:
-        """Run exactly one driven block and return the resulting vector.
-
-        Unlike next_block this never echoes the seed vector; it also
-        cancels a pending initial emission.  Cycle detection walks the
-        state orbit with this method.
-        """
-        self._initial_pending = False
-        return self._mask_tuple(self._advance_masks(1)[0])
-
     def bits(self, count: int) -> np.ndarray:
         """The next ``count`` output bits as a numpy uint8 array.
 
@@ -481,11 +457,10 @@ class ChaoticBitGenerator:
         if count < 0:
             raise ValueError(f"bits: count must be non-negative, got {count}")
         out = np.empty(count, dtype=np.uint8)
-        pos = 0
         pend = self._pending_bits
-        while pos < count and pend:
-            out[pos] = pend.pop(0)
-            pos += 1
+        pos = min(count, pend.size)
+        out[:pos] = pend[:pos]
+        self._pending_bits = pend[pos:]
         if pos == count:
             return out
         remaining = count - pos
@@ -500,7 +475,8 @@ class ChaoticBitGenerator:
             masks.extend(self._advance_masks((need + n - 1) // n))
         arr = _masks_to_bit_array(masks, n)
         out[pos:] = arr[:remaining]
-        self._pending_bits = [int(b) for b in arr[remaining:]]
+        # Copy, so the few buffered bits do not keep all of arr alive.
+        self._pending_bits = arr[remaining:].copy()
         return out
 
 

@@ -194,7 +194,8 @@ def test_cycle_constant_driver_toggle():
 
 
 def test_cycle_real_logistic_driver_budget():
-    # binary64 orbits are astronomically long; a small budget must
+    # This orbit does repeat (transient 4,198,437 blocks, then period
+    # 727,512 blocks), far beyond this budget; a small budget must
     # produce an explicit budget-exceeded result, never a guess.
     cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
     result = detect_cycle(cfg, budget=10000)

@@ -4,11 +4,8 @@ import pytest
 
 from chaosbits import (
     SCHEMES,
-    GeneratorConfig,
-    SeedSpec,
     histogram,
     read_pgm,
-    resolve_scheme,
     write_pgm,
     GrayscaleImage,
 )
@@ -46,14 +43,6 @@ def test_scheme_table_matches_published_parameterizations():
         "scheme-5": (5, (9, 10)),
         "scheme-6": (5, (14, 15)),
     }
-
-
-def test_resolve_scheme():
-    spec = resolve_scheme("scheme-6", SeedSpec.from_time(484076))
-    assert spec.name == "scheme-6"
-    assert spec.config == GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
-    with pytest.raises(ValueError):
-        resolve_scheme("scheme-7", SeedSpec.from_time(484076))
 
 
 # -- gen -------------------------------------------------------------------------
@@ -166,6 +155,12 @@ def test_config_flag_is_exclusive(tmp_path, capsys):
 def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+
+
+def test_argparse_rejects_unknown_scheme():
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--scheme", "scheme-7", "--seed", "484076", "--count", "5"])
     assert exc.value.code == 2
 
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosbits import (
+    SCHEMES,
     ChaoticBitGenerator,
     DegenerateSeedError,
     GeneratorConfig,
-    LogisticDriver,
     SeedSpec,
     TranscriptDriver,
     TranscriptExhausted,
@@ -313,13 +313,18 @@ def test_bits_match_block_concatenation():
     assert generate_bits(cfg, 20).tolist() == concat
 
 
-@given(st.integers(0, 40))
-def test_bits_split_equals_single_call(split):
-    cfg = GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076))
+# n_cells > 64 takes the per-mask expansion branch of the bit packing.
+WIDE_CONFIG = GeneratorConfig(70, (2, 3), SeedSpec.from_time(903211))
+
+
+@given(
+    st.sampled_from([GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076)), WIDE_CONFIG]),
+    st.lists(st.integers(0, 300), max_size=6),
+)
+def test_bits_split_equals_single_call(cfg, sizes):
     gen = ChaoticBitGenerator(cfg)
-    a = gen.bits(split).tolist()
-    b = gen.bits(40 - split).tolist()
-    assert a + b == generate_bits(cfg, 40).tolist()
+    parts = [gen.bits(k).tolist() for k in sizes]
+    assert sum(parts, []) == generate_bits(cfg, sum(sizes)).tolist()
 
 
 def test_determinism():
@@ -376,39 +381,32 @@ def test_hamming_step_through_generator():
         prev = cur
 
 
-def test_reference_simulation_matches_generator():
-    # Independent re-simulation from the module-level operations.
-    cfg = GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076), emit_initial=True)
-    x, y = seed_from_time(484076, 5)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(GeneratorConfig(n, m_set, SeedSpec.from_time(484076)), id=name)
+        for name, (n, m_set) in SCHEMES.items()
+    ]
+    + [pytest.param(WIDE_CONFIG, id="n70")],
+)
+def test_reference_simulation_matches_generator(cfg):
+    # Independent re-simulation from the module-level operations, which
+    # are the reference for the generator's inlined block loop.
+    x, y = cfg.seed.resolve(cfg.n_cells)
     expected_bits = list(x)
-    for _ in range(20):
-        m = m_from_y(y, (4, 5))
+    iters = 0
+    for _ in range(2000):
+        m = m_from_y(y, cfg.m_set)
         y = logistic_step(y)
         for _ in range(m):
-            s = strategy_from_y(y, 5)
+            s = strategy_from_y(y, cfg.n_cells)
             y = logistic_step(y)
             x = chaotic_step(x, s)
+        iters += m
         expected_bits.extend(x)
-    got = generate_bits(cfg, len(expected_bits)).tolist()
-    assert got == expected_bits
-
-
-class _GenericPathDriver(LogisticDriver):
-    """Subclass only to force the generic (non-inlined) block loop."""
-
-
-def test_fast_path_equals_generic_path():
-    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
-    fast = generate_bits(cfg, 500)
-    generic = generate_bits(cfg, 500, driver=_GenericPathDriver(0.484076))
-    assert fast.tolist() == generic.tolist()
-
-
-def test_fast_path_equals_generic_path_wide_state():
-    cfg = GeneratorConfig(70, (2, 3), SeedSpec.from_time(903211))
-    fast = generate_bits(cfg, 700)
-    generic = generate_bits(cfg, 700, driver=_GenericPathDriver(0.903211))
-    assert fast.tolist() == generic.tolist()
+    gen = ChaoticBitGenerator(cfg)
+    assert gen.bits(len(expected_bits)).tolist() == expected_bits
+    assert (gen.state.x, gen.state.y, gen.state.iter_count) == (x, y, iters)
 
 
 def test_degenerate_orbit_raises_mid_run():
@@ -424,15 +422,35 @@ def test_degenerate_orbit_raises_mid_run():
     assert gen.state.y == 0.0  # failing sample left unconsumed
 
 
+def test_failure_mid_block_keeps_reached_state():
+    # Logistic: with m=2 the gap draw at y0 = 0.5 + 1 ulp yields 1.0,
+    # the first strategy (cell 1) yields 0.0, and the second strategy
+    # draw hits the fixed point; the one update made is kept.
+    cfg = GeneratorConfig(2, (2,), SeedSpec.explicit((0, 1), 0.5000000000000001), emit_initial=False)
+    gen = ChaoticBitGenerator(cfg)
+    with pytest.raises(DegenerateSeedError):
+        gen.next_block()
+    assert (gen.state.x, gen.state.y, gen.state.iter_count, gen.state.blocks_emitted) == ((1, 1), 0.0, 1, 0)
+    # Transcript: the second driven block's gap 5 outlasts the strategy
+    # transcript after two updates (cells 5, then 1).
+    gen = ChaoticBitGenerator(table1_config(), driver=TranscriptDriver((4, 5), (2, 4, 2, 2, 5, 1)))
+    assert gen.next_block() == X0
+    assert gen.next_block() == (1, 1, 1, 1, 0)
+    with pytest.raises(TranscriptExhausted):
+        gen.next_block()
+    assert (gen.state.x, gen.state.iter_count, gen.state.blocks_emitted) == ((0, 1, 1, 1, 1), 6, 2)
+
+
 def test_state_key_determines_future():
-    cfg = GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076))
+    cfg = GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076), emit_initial=False)
     a = ChaoticBitGenerator(cfg)
     b = ChaoticBitGenerator(cfg)
     for _ in range(7):
-        a.advance_block()
-        b.advance_block()
+        a.next_block()
+        b.next_block()
     assert a.state_key() == b.state_key()
-    assert a.advance_block() == b.advance_block()
+    assert a.state_key()[1] == a.state.y
+    assert a.next_block() == b.next_block()
 
 
 def test_transcript_driver_exhaustion_and_cycling():
