@@ -18,8 +18,10 @@ the run can be replayed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
+from contextlib import contextmanager
 
 from .analysis import (
     BudgetExceeded,
@@ -55,6 +57,10 @@ from .generator import (
 )
 
 __all__ = ["SCHEMES", "main"]
+
+# Bits gen generates, renders and writes at a time (before rounding to
+# whole lines and bytes), so its memory does not grow with --count.
+GEN_CHUNK_BITS = 1 << 20
 
 # Named schemes: (n_cells, m_set).
 SCHEMES: dict[str, tuple[int, tuple[int, ...]]] = {
@@ -160,11 +166,17 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
     return config, transcript
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _open_output(path: str, binary: bool = False):
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout.buffer if binary else sys.stdout
         return
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") if binary else open(path, "w", encoding="ascii") as fh:
+        yield fh
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_output(path) as fh:
         fh.write(text)
 
 
@@ -178,19 +190,17 @@ def cmd_gen(args) -> int:
     if transcript is not None:
         driver = TranscriptDriver(*transcript, cycle=args.cycle_transcript)
     sys.stderr.write(config_to_text(config))
-    bits = ChaoticBitGenerator(config, driver=driver).bits(args.count)
-    if args.format == "ascii":
-        text = bits_to_ascii(bits, wrap=args.wrap)
-        if text and not text.endswith("\n"):
-            text += "\n"
-        _write_text(args.out, text)
-    else:
-        data = pack_bits(bits)
-        if args.out == "-":
-            sys.stdout.buffer.write(data)
-        else:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
+    gen = ChaoticBitGenerator(config, driver=driver)
+    ascii_out = args.format == "ascii"
+    # Whole bytes and whole lines per chunk, so each chunk renders alone.
+    step = math.lcm(8, args.wrap or 1)
+    chunk = max(GEN_CHUNK_BITS // step, 1) * step
+    with _open_output(args.out, binary=not ascii_out) as fh:
+        for start in range(0, args.count, chunk):
+            bits = gen.bits(min(chunk, args.count - start))
+            fh.write(bits_to_ascii(bits, wrap=args.wrap) if ascii_out else pack_bits(bits))
+        if ascii_out and args.count and not args.wrap:
+            fh.write("\n")
     return 0
 
 

@@ -318,6 +318,10 @@ class TranscriptDriver:
         return ("transcript", self._gi, self._si)
 
 
+# Bits that ChaoticBitGenerator.bits expands per batch of blocks.
+_BATCH_BITS = 1 << 20
+
+
 class ChaoticBitGenerator:
     """Sequential block/bit emitter: one logistic orbit driving cell updates.
 
@@ -349,6 +353,11 @@ class ChaoticBitGenerator:
         self._blocks_emitted = 0
         self._initial_pending = bool(config.emit_initial)
         self._pending_bits = np.empty(0, dtype=np.uint8)
+        # Block-loop tables, built here because detect_cycle runs the
+        # loop one block per call: the mask bit strategy s flips,
+        # indexed by s - 1, and the inner-loop range of each gap.
+        self._flips = [1 << (n - 1 - r) for r in range(n)]
+        self._gap_ranges = [range(m) for m in config.m_set]
 
     # -- state inspection ---------------------------------------------
 
@@ -379,8 +388,8 @@ class ChaoticBitGenerator:
 
     # -- block production ---------------------------------------------
 
-    def _advance_masks(self, nblocks: int) -> list[int]:
-        """Run nblocks driven blocks, returning the emitted cell masks.
+    def _advance_masks(self, nblocks: int, masks: list[int]) -> None:
+        """Run nblocks driven blocks, appending the emitted cell masks to masks.
 
         This loop is the only code that turns driver samples into cell
         masks.  Without a transcript it runs the logistic recurrence
@@ -388,8 +397,9 @@ class ChaoticBitGenerator:
         strategy_from_y and chaotic_step.  On an error mid-block (a
         degenerate orbit, an exhausted transcript or an out-of-range
         strategy) the generator is left in the state reached at the
-        failure point and the error propagates; a failing logistic
-        sample is never consumed.
+        failure point, masks holds the blocks completed before it, and
+        the error propagates; a failing logistic sample is never
+        consumed.
         """
         transcript = self._transcript
         n = self._n
@@ -398,29 +408,32 @@ class ChaoticBitGenerator:
         y = self._y
         mask = self._mask
         iters = 0
-        masks: list[int] = []
+        first = len(masks)
         append = masks.append
         try:
             if transcript is None:
+                flips = self._flips
+                gap_ranges = self._gap_ranges
                 for _ in range(nblocks):
                     i = int(y * k)
-                    m = mset[i if i < k else k - 1]
+                    gap = gap_ranges[i if i < k else k - 1]
                     nxt = 4.0 * y * (1.0 - y)
                     if nxt == y:
                         raise DegenerateSeedError(
                             f"logistic driver reached fixed point y={y!r}; the seed is dead"
                         )
                     y = nxt
-                    for _ in range(m):
-                        s = int(1e7 * y) % n + 1
+                    for j in gap:
+                        r = int(1e7 * y) % n
                         nxt = 4.0 * y * (1.0 - y)
                         if nxt == y:
+                            iters += j
                             raise DegenerateSeedError(
                                 f"logistic driver reached fixed point y={y!r}; the seed is dead"
                             )
                         y = nxt
-                        mask ^= 1 << (n - s)
-                        iters += 1
+                        mask ^= flips[r]
+                    iters += len(gap)
                     append(mask)
             else:
                 for _ in range(nblocks):
@@ -432,8 +445,7 @@ class ChaoticBitGenerator:
             self._y = y
             self._mask = mask
             self._iter_count += iters
-            self._blocks_emitted += len(masks)
-        return masks
+            self._blocks_emitted += len(masks) - first
 
     def next_block(self) -> tuple[int, ...]:
         """Emit the next block, components in order 1..n_cells.
@@ -444,56 +456,61 @@ class ChaoticBitGenerator:
         if self._initial_pending:
             self._initial_pending = False
             self._blocks_emitted += 1
-            return self._mask_tuple(self._mask)
-        return self._mask_tuple(self._advance_masks(1)[0])
+        else:
+            self._advance_masks(1, [])
+        return self._mask_tuple(self._mask)
 
     def bits(self, count: int) -> np.ndarray:
         """The next ``count`` output bits as a numpy uint8 array.
 
         Bit k of a fresh generator equals component (k mod n_cells)+1
         of block floor(k / n_cells); successive calls continue the
-        stream, buffering any partially consumed block.
+        stream, buffering any partially consumed block.  Blocks are
+        expanded in batches of about _BATCH_BITS bits, so memory beyond
+        the result stays bounded.  If the driver fails, the bits this
+        call produced stay buffered for the next call and the error
+        propagates, so the stream has no hole.
         """
         if count < 0:
             raise ValueError(f"bits: count must be non-negative, got {count}")
         out = np.empty(count, dtype=np.uint8)
-        pend = self._pending_bits
-        pos = min(count, pend.size)
-        out[:pos] = pend[:pos]
-        self._pending_bits = pend[pos:]
-        if pos == count:
-            return out
-        remaining = count - pos
         n = self._n
+        batch = max(_BATCH_BITS // n, 1)
+        pos = 0
         masks: list[int] = []
-        if self._initial_pending:
-            self._initial_pending = False
-            self._blocks_emitted += 1
-            masks.append(self._mask)
-        need = remaining - n * len(masks)
-        if need > 0:
-            masks.extend(self._advance_masks((need + n - 1) // n))
-        arr = _masks_to_bit_array(masks, n)
-        out[pos:] = arr[:remaining]
-        # Copy, so the few buffered bits do not keep all of arr alive.
-        self._pending_bits = arr[remaining:].copy()
-        return out
+        try:
+            while True:
+                pend = self._pending_bits
+                take = min(count - pos, pend.size)
+                out[pos : pos + take] = pend[:take]
+                self._pending_bits = pend[take:]
+                pos += take
+                if pos == count:
+                    return out
+                if self._initial_pending:
+                    self._initial_pending = False
+                    self._blocks_emitted += 1
+                    masks.append(self._mask)
+                else:
+                    self._advance_masks(min((count - pos + n - 1) // n, batch), masks)
+                self._pending_bits = _masks_to_bit_array(masks, n)
+                masks.clear()
+        except BaseException:
+            # The buffer was drained before the failing batch began.
+            self._pending_bits = np.concatenate((out[:pos], _masks_to_bit_array(masks, n)))
+            raise
 
 
 def _masks_to_bit_array(masks: Sequence[int], n_cells: int) -> np.ndarray:
-    if not masks:
-        return np.empty(0, dtype=np.uint8)
+    """Cells of each mask, component 1 (the high bit) first, as one uint8 array."""
+    nbytes = (n_cells + 7) // 8
     if n_cells <= 64:
-        a = np.asarray(masks, dtype=np.uint64)
-        shifts = np.arange(n_cells - 1, -1, -1, dtype=np.uint64)
-        return ((a[:, None] >> shifts) & np.uint64(1)).astype(np.uint8).ravel()
-    out = np.empty(len(masks) * n_cells, dtype=np.uint8)
-    pos = 0
-    for mask in masks:
-        for i in range(n_cells - 1, -1, -1):
-            out[pos] = (mask >> i) & 1
-            pos += 1
-    return out
+        words = np.asarray(masks, dtype=">u8").view(np.uint8).reshape(-1, 8)
+        rows = words[:, 8 - nbytes :]
+    else:
+        raw = b"".join(mask.to_bytes(nbytes, "big") for mask in masks)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
+    return np.unpackbits(rows, axis=1)[:, 8 * nbytes - n_cells :].ravel()
 
 
 def generate_bits(config: GeneratorConfig, count: int, *, driver=None) -> np.ndarray:
@@ -521,30 +538,32 @@ def pack_bits(bits: Sequence[int]) -> bytes:
 def bits_to_ascii(bits: Sequence[int], wrap: int = 0) -> str:
     """Render bits as '0'/'1' characters, optionally wrapped.
 
-    With wrap > 0 the text is split into newline-terminated lines of at
-    most ``wrap`` characters; with wrap = 0 a single bare string is
-    returned.
+    Every truthy bit renders as '1'.  With wrap > 0 the text is split
+    into newline-terminated lines of at most ``wrap`` characters; with
+    wrap <= 0 a single bare string is returned.
     """
-    s = "".join("1" if b else "0" for b in bits)
-    if wrap and wrap > 0:
-        chunks = [s[i : i + wrap] for i in range(0, len(s), wrap)]
-        return "".join(c + "\n" for c in chunks)
-    return s
+    chars = np.add(np.asarray(bits) != 0, ord("0"), dtype=np.uint8).ravel()
+    if not wrap or wrap < 0:
+        return chars.tobytes().decode("ascii")
+    full = chars.size - chars.size % wrap
+    lines = np.full((full // wrap, wrap + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :wrap] = chars[:full].reshape(-1, wrap)
+    text = lines.tobytes()
+    if full < chars.size:
+        text += chars[full:].tobytes() + b"\n"
+    return text.decode("ascii")
 
 
 def parse_ascii_bits(text: str) -> np.ndarray:
     """Parse '0'/'1' text (whitespace ignored) into a uint8 bit array."""
-    out = []
-    for c in text:
-        if c.isspace():
-            continue
-        if c == "0":
-            out.append(0)
-        elif c == "1":
-            out.append(1)
-        else:
-            raise ValueError(f"parse_ascii_bits: invalid character {c!r}")
-    return np.array(out, dtype=np.uint8)
+    digits = "".join(text.split())
+    invalid = digits.translate(_DROP_BITS)
+    if invalid:
+        raise ValueError(f"parse_ascii_bits: invalid character {invalid[0]!r}")
+    return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 def config_to_text(config: GeneratorConfig) -> str:

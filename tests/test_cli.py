@@ -1,10 +1,19 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+from pathlib import Path
+
 import pytest
 
+import chaosbits.cli
 from chaosbits import (
     SCHEMES,
+    GeneratorConfig,
+    SeedSpec,
+    TranscriptDriver,
+    bits_to_ascii,
+    generate_bits,
     histogram,
+    pack_bits,
     read_pgm,
     write_pgm,
     GrayscaleImage,
@@ -117,6 +126,50 @@ def test_gen_seed_from_time_prints_resolved_seed(tmp_path, capsys):
     main(["gen", "--scheme", "scheme-6", "--seed", str(t),
           "--count", "8", "--out", str(replay)])
     assert replay.read_text() == out.read_text()
+
+
+@pytest.mark.parametrize(
+    "fmt, count, wrap",
+    [
+        ("ascii", 203, 0),
+        ("ascii", 203, 5),
+        ("ascii", 203, 7),
+        ("ascii", 203, 50),  # a wrap longer than the chunk
+        ("ascii", 200, 5),  # ends on a chunk boundary
+        ("raw", 203, 0),
+        ("ascii", 0, 0),
+        ("raw", 0, 0),
+    ],
+)
+def test_gen_streamed_chunks_equal_one_shot(tmp_path, monkeypatch, fmt, count, wrap):
+    monkeypatch.setattr(chaosbits.cli, "GEN_CHUNK_BITS", 24)
+    out = tmp_path / "bits.out"
+    code = main(["gen", "--scheme", "scheme-6", "--seed", "484076", "--count", str(count),
+                 "--format", fmt, "--wrap", str(wrap), "--out", str(out)])
+    assert code == 0
+    bits = generate_bits(GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076)), count)
+    if fmt == "raw":
+        expected = pack_bits(bits)
+    else:
+        text = bits_to_ascii(bits, wrap=wrap)
+        expected = (text if not text or text.endswith("\n") else text + "\n").encode("ascii")
+    assert out.read_bytes() == expected
+
+
+def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):
+    # The transcript drives 15 blocks after the seed block, 64 bits in all:
+    # two 24-bit chunks are written, the third runs the transcript out.
+    monkeypatch.setattr(chaosbits.cli, "GEN_CHUNK_BITS", 24)
+    m_seq, s_seq = (1,) * 15, (1, 2, 3, 4) * 3 + (1, 2, 3)
+    transcript = tmp_path / "t.txt"
+    transcript.write_text("m=" + ",".join(map(str, m_seq)) + "\ns=" + ",".join(map(str, s_seq)) + "\n")
+    out = tmp_path / "bits.txt"
+    code = main(["gen", "--n-cells", "4", "--m-set", "1", "--x0", "0000",
+                 "--transcript", str(transcript), "--count", "100", "--out", str(out)])
+    assert code == 3
+    assert "exhausted" in capsys.readouterr().err
+    cfg = GeneratorConfig(4, (1,), SeedSpec.explicit((0, 0, 0, 0), 0.1))
+    assert out.read_text() == bits_to_ascii(generate_bits(cfg, 48, driver=TranscriptDriver(m_seq, s_seq)))
 
 
 # -- usage errors (exit 2) --------------------------------------------------------
@@ -315,7 +368,7 @@ def test_encrypt_decrypt_round_trip(tmp_path, fixture_pgm):
     seed_args = ["--scheme", "scheme-6", "--seed", "484076"]
     assert main(["encrypt", *seed_args, "--in", fixture_pgm, "--out", str(enc)]) == 0
     assert main(["decrypt", *seed_args, "--in", str(enc), "--out", str(dec)]) == 0
-    assert dec.read_bytes() == open(fixture_pgm, "rb").read()
+    assert dec.read_bytes() == Path(fixture_pgm).read_bytes()
     assert enc.read_bytes() != dec.read_bytes()
 
 

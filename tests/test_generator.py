@@ -1,6 +1,7 @@
 """Generator module: driver arithmetic, transcripts, seeding, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,7 +388,12 @@ def test_hamming_step_through_generator():
         pytest.param(GeneratorConfig(n, m_set, SeedSpec.from_time(484076)), id=name)
         for name, (n, m_set) in SCHEMES.items()
     ]
-    + [pytest.param(WIDE_CONFIG, id="n70")],
+    + [pytest.param(WIDE_CONFIG, id="n70")]
+    # The edges of the bit expansion: one 64-bit word, and masks wider than it.
+    + [
+        pytest.param(GeneratorConfig(n, m_set, SeedSpec.from_time(903211)), id=f"n{n}")
+        for n, m_set in ((64, (1, 3)), (65, (2,)), (130, (3, 4)))
+    ],
 )
 def test_reference_simulation_matches_generator(cfg):
     # Independent re-simulation from the module-level operations, which
@@ -439,6 +445,24 @@ def test_failure_mid_block_keeps_reached_state():
     with pytest.raises(TranscriptExhausted):
         gen.next_block()
     assert (gen.state.x, gen.state.iter_count, gen.state.blocks_emitted) == ((0, 1, 1, 1, 1), 6, 2)
+
+
+def test_failed_bits_call_keeps_produced_bits():
+    # Strategy 5 is out of range for 2 cells (the transcript consumes it).
+    # The bits the failing call produced, from the seed block 10 onwards,
+    # stay buffered, so the next call continues the stream with no hole.
+    cfg = GeneratorConfig(2, (1,), SeedSpec.explicit((1, 0), 0.1))
+    gen = ChaoticBitGenerator(cfg, driver=TranscriptDriver((1,) * 5, (5, 1, 2, 1, 2)))
+    with pytest.raises(ValueError):
+        gen.bits(4)
+    assert "".join(map(str, gen.bits(4))) == "1000"
+    # The same with a bit pending from an earlier call and two blocks (00,
+    # 01) completed in the failing call: the stream is 10 00 01 11.
+    gen = ChaoticBitGenerator(cfg, driver=TranscriptDriver((1,) * 5, (1, 2, 5, 1, 2)))
+    assert gen.bits(1).tolist() == [1]
+    with pytest.raises(ValueError):
+        gen.bits(8)
+    assert "".join(map(str, gen.bits(7))) == "0000111"
 
 
 def test_state_key_determines_future():
@@ -510,6 +534,54 @@ def test_ascii_round_trip_and_wrap():
 @given(st.lists(st.integers(0, 1), max_size=200), st.integers(0, 17))
 def test_ascii_round_trip_property(bits, wrap):
     assert parse_ascii_bits(bits_to_ascii(bits, wrap=wrap)).tolist() == bits
+
+
+def ascii_reference(bits, wrap=0):
+    """The per-bit rendering that bits_to_ascii must equal."""
+    s = "".join("1" if b else "0" for b in bits)
+    if wrap and wrap > 0:
+        return "".join(s[i : i + wrap] + "\n" for i in range(0, len(s), wrap))
+    return s
+
+
+def parse_reference(text):
+    """The per-character parser that parse_ascii_bits must equal."""
+    out = []
+    for c in text:
+        if c.isspace():
+            continue
+        if c == "0":
+            out.append(0)
+        elif c == "1":
+            out.append(1)
+        else:
+            raise ValueError(f"parse_ascii_bits: invalid character {c!r}")
+    return np.array(out, dtype=np.uint8)
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=300),
+    st.sampled_from([list, lambda v: np.array(v, dtype=bool), lambda v: np.array(v, dtype=np.uint8)]),
+    st.integers(-3, 400),
+)
+def test_bits_to_ascii_matches_per_bit_reference(values, as_input, wrap):
+    # Values 2 and 3 are truthy but not bits; wraps cover off (<= 0),
+    # shorter and longer than the input.
+    bits = as_input(values)
+    assert bits_to_ascii(bits, wrap=wrap) == ascii_reference(bits, wrap)
+
+
+@given(st.text(alphabet="0101 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000x2\xe9", max_size=200))
+def test_parse_ascii_bits_matches_per_char_reference(text):
+    try:
+        expected = parse_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            parse_ascii_bits(text)
+    else:
+        got = parse_ascii_bits(text)
+        assert got.dtype == np.uint8
+        assert got.tolist() == expected.tolist()
 
 
 def test_config_text_round_trip_time_seed():
