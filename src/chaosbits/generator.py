@@ -318,10 +318,6 @@ class TranscriptDriver:
         return ("transcript", self._gi, self._si)
 
 
-# Bits that ChaoticBitGenerator.bits expands per batch of blocks.
-_BATCH_BITS = 1 << 20
-
-
 class ChaoticBitGenerator:
     """Sequential block/bit emitter: one logistic orbit driving cell updates.
 
@@ -465,40 +461,36 @@ class ChaoticBitGenerator:
 
         Bit k of a fresh generator equals component (k mod n_cells)+1
         of block floor(k / n_cells); successive calls continue the
-        stream, buffering any partially consumed block.  Blocks are
-        expanded in batches of about _BATCH_BITS bits, so memory beyond
-        the result stays bounded.  If the driver fails, the bits this
-        call produced stay buffered for the next call and the error
-        propagates, so the stream has no hole.
+        stream, buffering any partially consumed block.  If the driver
+        fails, the bits this call produced stay buffered for the next
+        call and the error propagates, so the stream has no hole.
         """
         if count < 0:
             raise ValueError(f"bits: count must be non-negative, got {count}")
-        out = np.empty(count, dtype=np.uint8)
         n = self._n
-        batch = max(_BATCH_BITS // n, 1)
-        pos = 0
+        out = np.empty(count, dtype=np.uint8)
+        pend = self._pending_bits
+        pos = min(count, pend.size)
+        out[:pos] = pend[:pos]
+        self._pending_bits = pend[pos:]
+        if pos == count:
+            return out
         masks: list[int] = []
         try:
-            while True:
-                pend = self._pending_bits
-                take = min(count - pos, pend.size)
-                out[pos : pos + take] = pend[:take]
-                self._pending_bits = pend[take:]
-                pos += take
-                if pos == count:
-                    return out
-                if self._initial_pending:
-                    self._initial_pending = False
-                    self._blocks_emitted += 1
-                    masks.append(self._mask)
-                else:
-                    self._advance_masks(min((count - pos + n - 1) // n, batch), masks)
-                self._pending_bits = _masks_to_bit_array(masks, n)
-                masks.clear()
+            nblocks = (count - pos + n - 1) // n
+            if self._initial_pending:
+                self._initial_pending = False
+                self._blocks_emitted += 1
+                masks.append(self._mask)
+                nblocks -= 1
+            self._advance_masks(nblocks, masks)
         except BaseException:
-            # The buffer was drained before the failing batch began.
             self._pending_bits = np.concatenate((out[:pos], _masks_to_bit_array(masks, n)))
             raise
+        fresh = _masks_to_bit_array(masks, n)
+        out[pos:] = fresh[: count - pos]
+        self._pending_bits = fresh[count - pos :].copy()
+        return out
 
 
 def _masks_to_bit_array(masks: Sequence[int], n_cells: int) -> np.ndarray:
@@ -540,9 +532,16 @@ def bits_to_ascii(bits: Sequence[int], wrap: int = 0) -> str:
 
     Every truthy bit renders as '1'.  With wrap > 0 the text is split
     into newline-terminated lines of at most ``wrap`` characters; with
-    wrap <= 0 a single bare string is returned.
+    wrap <= 0 a single bare string is returned.  ``bits`` must be a
+    sequence or an array; any other value (an iterator, a scalar)
+    raises TypeError.
     """
-    chars = np.add(np.asarray(bits) != 0, ord("0"), dtype=np.uint8).ravel()
+    arr = np.asarray(bits)
+    if arr.ndim == 0:
+        raise TypeError(
+            f"bits_to_ascii: bits must be a sequence or array, not {type(bits).__name__}"
+        )
+    chars = np.add(arr != 0, ord("0"), dtype=np.uint8).ravel()
     if not wrap or wrap < 0:
         return chars.tobytes().decode("ascii")
     full = chars.size - chars.size % wrap

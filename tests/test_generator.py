@@ -571,6 +571,17 @@ def test_bits_to_ascii_matches_per_bit_reference(values, as_input, wrap):
     assert bits_to_ascii(bits, wrap=wrap) == ascii_reference(bits, wrap)
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [iter([1, 0, 1]), (b for b in [1, 0]), 1, "0101"],
+    ids=["iter", "genexpr", "int", "str"],
+)
+def test_bits_to_ascii_rejects_non_sequences(bits):
+    # numpy would wrap these in a 0-d array that renders as one character.
+    with pytest.raises(TypeError, match="sequence or array"):
+        bits_to_ascii(bits)
+
+
 @given(st.text(alphabet="0101 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000x2\xe9", max_size=200))
 def test_parse_ascii_bits_matches_per_char_reference(text):
     try:
