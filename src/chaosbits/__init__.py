@@ -38,7 +38,9 @@ from .battery import (
     approximate_entropy,
     block_frequency,
     cumulative_sums,
+    erfc,
     frequency_monobit,
+    gammainc_upper,
     longest_run,
     p_uniformity,
     report_to_csv,
@@ -81,7 +83,6 @@ from .generator import (
     strategy_from_y,
     transcript_from_text,
 )
-from .special import erfc, gammainc_upper, normal_cdf
 
 __version__ = "0.1.0"
 
@@ -115,7 +116,9 @@ __all__ = [
     "approximate_entropy",
     "block_frequency",
     "cumulative_sums",
+    "erfc",
     "frequency_monobit",
+    "gammainc_upper",
     "longest_run",
     "p_uniformity",
     "report_to_csv",
@@ -148,8 +151,4 @@ __all__ = [
     "xor_cipher",
     # cli
     "SCHEMES",
-    # special functions
-    "erfc",
-    "gammainc_upper",
-    "normal_cdf",
 ]

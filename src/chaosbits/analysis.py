@@ -10,12 +10,12 @@ component with a strategy-prefix component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .generator import ChaoticBitGenerator, GeneratorConfig, TranscriptDriver, require_int
+from .generator import ChaoticBitGenerator, GeneratorConfig, TranscriptDriver, require_bits, require_int
 
 __all__ = [
     "CorrelationSeries",
@@ -95,13 +95,15 @@ class BudgetExceeded:
     steps_executed: int
 
 
-def _pm_one(bits) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError("bit sequence must be one-dimensional")
-    if arr.size and np.any((arr != 0) & (arr != 1)):
-        raise ValueError("bit sequence must contain only 0s and 1s")
-    return 2.0 * arr.astype(np.float64) - 1.0
+def _lagged_sums(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_i a_i b_(i+t) for t = 0..max_lag, by FFT (Wiener-Khinchin).
+
+    Both inputs are zero-padded to a power of two of at least
+    len(a) + max_lag, so no shift wraps around onto the start.
+    """
+    size = 1 << (a.size + max_lag - 1).bit_length()
+    spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
+    return np.fft.irfft(spectrum, size)[: max_lag + 1]
 
 
 def autocorrelation(bits, max_lag: int) -> CorrelationSeries:
@@ -113,18 +115,19 @@ def autocorrelation(bits, max_lag: int) -> CorrelationSeries:
     centered energy: it is flagged degenerate and reported with the
     convention r(0)=1, r(tau!=0)=0.
     """
-    x = _pm_one(bits)
+    x = 2.0 * require_bits(bits) - 1.0
     n = x.size
     require_int(max_lag, "autocorrelation: max_lag", 1)
     if n <= max_lag:
         raise ValueError(f"autocorrelation: sequence length {n} must exceed max_lag {max_lag}")
     a = x - x.mean()
-    energy = float(a @ a)
+    energy = float(np.sum(a * a))
     lags = tuple(range(max_lag + 1))
     if energy == 0.0:
         values = (1.0,) + (0.0,) * max_lag
         return CorrelationSeries(lags, values, degenerate=True)
-    values = tuple(float(a[: n - t] @ a[t:]) / energy if t else 1.0 for t in lags)
+    sums = _lagged_sums(a, a, max_lag)
+    values = (1.0,) + tuple((sums[1:] / energy).tolist())
     return CorrelationSeries(lags, values)
 
 
@@ -137,8 +140,8 @@ def cross_correlation(bits_a, bits_b, max_lag: int) -> CorrelationSeries:
     sequence is constant the estimator is undefined; the series is
     flagged degenerate and all values are reported as 0.
     """
-    xa = _pm_one(bits_a)
-    xb = _pm_one(bits_b)
+    xa = 2.0 * require_bits(bits_a) - 1.0
+    xb = 2.0 * require_bits(bits_b) - 1.0
     if xa.size != xb.size:
         raise ValueError(f"cross_correlation: lengths differ ({xa.size} vs {xb.size})")
     n = xa.size
@@ -147,11 +150,11 @@ def cross_correlation(bits_a, bits_b, max_lag: int) -> CorrelationSeries:
         raise ValueError(f"cross_correlation: sequence length {n} must exceed max_lag {max_lag}")
     a = xa - xa.mean()
     b = xb - xb.mean()
-    norm = math.sqrt(float(a @ a) * float(b @ b))
+    norm = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
     lags = tuple(range(max_lag + 1))
     if norm == 0.0:
         return CorrelationSeries(lags, (0.0,) * (max_lag + 1), degenerate=True)
-    values = tuple(float(a[: n - t] @ b[t:]) / norm for t in lags)
+    values = tuple((_lagged_sums(a, b, max_lag) / norm).tolist())
     return CorrelationSeries(lags, values)
 
 
@@ -161,7 +164,7 @@ def power_spectrum(bits) -> PowerSpectrum:
     Emits bins 0..n//2 (DC through Nyquist).  Requires at least 64
     bits; below that a spectrum is too coarse to summarize.
     """
-    x = _pm_one(bits)
+    x = 2.0 * require_bits(bits) - 1.0
     n = x.size
     if n < 64:
         raise ValueError(f"power_spectrum: sequence length {n} is below the minimum 64")
@@ -192,20 +195,6 @@ def power_spectrum(bits) -> PowerSpectrum:
     )
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.used = 0
-
-    def step(self, gen: ChaoticBitGenerator) -> None:
-        if self.used >= self.limit:
-            raise _BudgetHit
-        gen.next_block()
-        self.used += 1
-
-
 class _BudgetHit(Exception):
     pass
 
@@ -225,8 +214,6 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
     than an error or a guess.
     """
     require_int(budget, "detect_cycle: budget", 1)
-    # Orbit elements are driven blocks, so the seed vector is never echoed.
-    config = replace(config, emit_initial=False)
 
     def fresh() -> ChaoticBitGenerator:
         driver = None
@@ -235,52 +222,62 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
             driver = TranscriptDriver(m_seq, s_seq, cycle=True)
         return ChaoticBitGenerator(config, driver=driver)
 
-    meter = _Budget(budget)
+    steps = 0
+
+    def step(gen: ChaoticBitGenerator) -> None:
+        # Orbit elements are driven blocks: the block loop is stepped
+        # directly, so the seed vector (emit_initial) is never echoed.
+        nonlocal steps
+        if steps >= budget:
+            raise _BudgetHit
+        gen._advance_masks(1, [])
+        steps += 1
+
     try:
         # Brent phase 1: period. The tortoise is a stored key, teleported
         # to the hare's position at each power-of-two boundary.
         power = lam = 1
         hare = fresh()
         tortoise_key = hare.state_key()
-        meter.step(hare)
+        step(hare)
         hare_key = hare.state_key()
         while hare_key != tortoise_key:
             if power == lam:
                 tortoise_key = hare_key
                 power *= 2
                 lam = 0
-            meter.step(hare)
+            step(hare)
             hare_key = hare.state_key()
             lam += 1
 
         # Phase 2: transient, from two fresh restarts lam apart.
         ahead = fresh()
         for _ in range(lam):
-            meter.step(ahead)
+            step(ahead)
         behind = fresh()
         mu = 0
         while behind.state_key() != ahead.state_key():
-            meter.step(behind)
-            meter.step(ahead)
+            step(behind)
+            step(ahead)
             mu += 1
 
         # Verification: two aligned copies must agree for 3 periods.
         check_a = fresh()
         for _ in range(mu):
-            meter.step(check_a)
+            step(check_a)
         check_b = fresh()
         for _ in range(mu + lam):
-            meter.step(check_b)
+            step(check_b)
         for _ in range(3 * lam):
             if check_a.state_key() != check_b.state_key():
                 raise RuntimeError(
                     "detect_cycle: verification failed; the state key does not "
                     "determine the orbit (this is a bug)"
                 )
-            meter.step(check_a)
-            meter.step(check_b)
+            step(check_a)
+            step(check_b)
     except _BudgetHit:
-        return BudgetExceeded(budget=budget, steps_executed=meter.used)
+        return BudgetExceeded(budget=budget, steps_executed=steps)
 
     return CycleReport(transient_length=mu, cycle_period=lam, orbit_length=mu + lam)
 

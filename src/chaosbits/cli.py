@@ -130,10 +130,7 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
         n_cells, m_set = SCHEMES[args.scheme]
     elif args.n_cells is not None and args.m_set is not None:
         n_cells = args.n_cells
-        try:
-            m_set = tuple(int(v) for v in args.m_set.split(","))
-        except ValueError:
-            raise ValueError(f"bad --m-set {args.m_set!r}; expected comma-separated integers") from None
+        m_set = _parse_int_list(args.m_set, "--m-set")
     else:
         raise ValueError("generator shape required: --scheme, --n-cells with --m-set, or --config")
 
@@ -151,14 +148,13 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
         print(f"resolved seed.t={t}", file=sys.stderr)
         seed = SeedSpec.from_time(t)
     elif args.x0 is not None:
-        if any(c not in "01" for c in args.x0) or not args.x0:
-            raise ValueError(f"bad --x0 {args.x0!r}; expected a bit string like 10100")
+        x0 = _parse_bit_vector(args.x0, "--x0")
         y0 = args.y0
         if y0 is None:
             if transcript is None:
                 raise ValueError("--x0 needs --y0 (or a forced --transcript, which ignores y0)")
             y0 = 0.1  # placeholder; a forced transcript never draws from the logistic driver
-        seed = SeedSpec.explicit(tuple(int(c) for c in args.x0), y0)
+        seed = SeedSpec.explicit(x0, y0)
     else:
         raise ValueError("seed required: --seed, --x0 with --y0, or --seed-from-time")
 

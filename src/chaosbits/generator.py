@@ -76,6 +76,16 @@ def require_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def require_bits(bits) -> np.ndarray:
+    """Return bits as a one-dimensional uint8 array of 0s and 1s, else raise ValueError."""
+    arr = np.asarray(bits)
+    if arr.ndim != 1:
+        raise ValueError("bit sequence must be one-dimensional")
+    if arr.size and np.any((arr != 0) & (arr != 1)):
+        raise ValueError("bit sequence must contain only 0s and 1s")
+    return arr.astype(np.uint8)
+
+
 # Seeds that collapse onto a logistic fixed point within two steps.
 _DEAD_SEEDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -290,7 +300,7 @@ class TranscriptDriver:
         self._gi = 0
         self._si = 0
 
-    def next_gap(self, m_set: Sequence[int]) -> int:
+    def next_gap(self) -> int:
         if not self.cycle and self._gi >= len(self.m_seq):
             raise TranscriptExhausted("gap transcript exhausted")
         v = self.m_seq[self._gi % len(self.m_seq)]
@@ -399,8 +409,6 @@ class ChaoticBitGenerator:
         """
         transcript = self._transcript
         n = self._n
-        mset = self.config.m_set
-        k = len(mset)
         y = self._y
         mask = self._mask
         iters = 0
@@ -410,6 +418,7 @@ class ChaoticBitGenerator:
             if transcript is None:
                 flips = self._flips
                 gap_ranges = self._gap_ranges
+                k = len(gap_ranges)
                 for _ in range(nblocks):
                     i = int(y * k)
                     gap = gap_ranges[i if i < k else k - 1]
@@ -433,7 +442,7 @@ class ChaoticBitGenerator:
                     append(mask)
             else:
                 for _ in range(nblocks):
-                    for _ in range(transcript.next_gap(mset)):
+                    for _ in range(transcript.next_gap()):
                         mask ^= 1 << (n - transcript.next_strategy(n))
                         iters += 1
                     append(mask)

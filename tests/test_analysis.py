@@ -113,6 +113,60 @@ def test_cross_correlation_lag_shifts_second_sequence():
     assert max(range(6), key=lambda i: series.values[i]) == 3
 
 
+def correlation_reference(bits_a, bits_b, max_lag):
+    """The per-lag correlation both estimators must equal, or None if either input is constant."""
+    n = len(bits_a)
+    a = [2.0 * v - 1.0 for v in bits_a]
+    b = [2.0 * v - 1.0 for v in bits_b]
+    mean_a, mean_b = sum(a) / n, sum(b) / n
+    a = [v - mean_a for v in a]
+    b = [v - mean_b for v in b]
+    norm = math.sqrt(sum(v * v for v in a) * sum(v * v for v in b))
+    if norm == 0.0:
+        return None
+    return [sum(a[i] * b[i + t] for i in range(n - t)) / norm for t in range(max_lag + 1)]
+
+
+def bit_vectors(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n) | st.sampled_from((0, 1)).map(
+        lambda v: [v] * n
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 300).flatmap(
+        lambda n: st.tuples(
+            bit_vectors(n), bit_vectors(n), st.sampled_from((0, n - 1)) | st.integers(0, n - 1)
+        )
+    )
+)
+def test_correlation_matches_per_lag_reference(case):
+    # max_lag = n - 1 needs the widest zero padding; lag 0 and constant
+    # inputs on either side are drawn often.
+    bits_a, bits_b, max_lag = case
+    cross = cross_correlation(bits_a, bits_b, max_lag)
+    expected = correlation_reference(bits_a, bits_b, max_lag)
+    assert cross.lags == tuple(range(max_lag + 1))
+    if expected is None:
+        assert cross.degenerate is True
+        assert cross.values == (0.0,) * (max_lag + 1)
+    else:
+        assert cross.degenerate is False
+        assert cross.values == pytest.approx(expected, rel=0, abs=1e-12)
+
+    max_lag = max(max_lag, 1)
+    auto = autocorrelation(bits_a, max_lag)
+    expected = correlation_reference(bits_a, bits_a, max_lag)
+    if expected is None:
+        assert auto.degenerate is True
+        assert auto.values == (1.0,) + (0.0,) * max_lag
+    else:
+        assert auto.degenerate is False
+        assert auto.values[0] == 1.0
+        assert auto.values == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 # -- power spectrum --------------------------------------------------------
 
 

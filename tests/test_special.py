@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from chaosbits import erfc, gammainc_upper, normal_cdf
+from chaosbits.battery import erfc, gammainc_upper
 
 # (x, erfc(x)) computed at 40 decimal digits, rounded to binary64.
 ERFC_REFERENCE = [
@@ -83,10 +83,3 @@ def test_gammainc_upper_rejects_bad_domain():
     with pytest.raises(ValueError):
         gammainc_upper(1.0, -0.5)
 
-
-def test_normal_cdf_values():
-    assert normal_cdf(0.0) == pytest.approx(0.5, rel=1e-15)
-    # Phi(x) = erfc(-x/sqrt(2)) / 2
-    for x in (-2.0, -0.5, 0.7, 3.1):
-        assert normal_cdf(x) == pytest.approx(erfc(-x / math.sqrt(2)) / 2, rel=1e-13)
-    assert normal_cdf(10.0) == pytest.approx(1.0, abs=1e-15)
