@@ -61,8 +61,8 @@ from .cipher import (
     write_pgm,
     xor_cipher,
 )
-from .cli import SCHEMES
 from .generator import (
+    SCHEMES,
     ChaoticBitGenerator,
     DegenerateSeedError,
     GeneratorConfig,
@@ -72,6 +72,7 @@ from .generator import (
     TranscriptExhausted,
     bits_to_ascii,
     chaotic_step,
+    config_from_entries,
     config_from_text,
     config_to_text,
     generate_bits,
@@ -89,6 +90,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # generator
+    "SCHEMES",
     "ChaoticBitGenerator",
     "DegenerateSeedError",
     "GeneratorConfig",
@@ -98,6 +100,7 @@ __all__ = [
     "TranscriptExhausted",
     "bits_to_ascii",
     "chaotic_step",
+    "config_from_entries",
     "config_from_text",
     "config_to_text",
     "generate_bits",
@@ -149,6 +152,4 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "xor_cipher",
-    # cli
-    "SCHEMES",
 ]

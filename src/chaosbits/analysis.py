@@ -188,7 +188,7 @@ def power_spectrum(bits) -> PowerSpectrum:
         flatness = math.inf
     return PowerSpectrum(
         bins=bins,
-        power=tuple(float(v) for v in power),
+        power=tuple(power.tolist()),
         flatness=flatness,
         time_energy=time_energy,
         spectral_energy=spectral_energy,

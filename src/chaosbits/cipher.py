@@ -143,7 +143,7 @@ def write_pgm(image: GrayscaleImage, target) -> None:
 def histogram(image: GrayscaleImage) -> Histogram:
     """256-bin count of the image's pixel values."""
     counts = np.bincount(np.frombuffer(image.pixels, dtype=np.uint8), minlength=256)
-    return Histogram(bins=tuple(int(c) for c in counts))
+    return Histogram(bins=tuple(counts.tolist()))
 
 
 def keystream_bytes(config: GeneratorConfig, count: int) -> bytes:

@@ -41,17 +41,20 @@ from .cipher import (
     xor_cipher,
 )
 from .generator import (
+    SCHEMES,
     ChaoticBitGenerator,
     DegenerateSeedError,
     GeneratorConfig,
-    SeedSpec,
     TranscriptDriver,
     TranscriptExhausted,
     bits_to_ascii,
+    config_from_entries,
     config_from_text,
     config_to_text,
     pack_bits,
     parse_ascii_bits,
+    parse_bit_vector,
+    parse_int_list,
     seed_from_time,
     transcript_from_text,
 )
@@ -62,42 +65,29 @@ __all__ = ["SCHEMES", "main"]
 # whole lines and bytes), so its memory does not grow with --count.
 GEN_CHUNK_BITS = 1 << 20
 
-# Named schemes: (n_cells, m_set).
-SCHEMES: dict[str, tuple[int, tuple[int, ...]]] = {
-    "scheme-1": (8, (1,)),
-    "scheme-2": (8, (8,)),
-    "scheme-3": (8, (1, 2, 3, 4, 5, 6, 7, 8)),
-    "scheme-4": (5, (4, 5)),
-    "scheme-5": (5, (9, 10)),
-    "scheme-6": (5, (14, 15)),
-}
-
 
 def _time_seed() -> int:
-    # Microsecond fractional part of epoch time, 6 decimal digits.
-    # Values that map onto degenerate logistic seeds are re-read.
+    # Microsecond fractional part of epoch time, 6 decimal digits.  Values
+    # seed_from_time rejects (0 gives y0 = 0, 250000 gives 0.25) are re-read.
     for _ in range(100):
         t = (time.time_ns() // 1000) % 1_000_000
         try:
-            seed_from_time(t if t > 0 else 1, 2)
+            seed_from_time(t, 2)
+            return t
         except DegenerateSeedError:
             time.sleep(2e-6)
-            continue
-        if t > 0:
-            return t
-        time.sleep(2e-6)
     raise DegenerateSeedError("could not derive a usable time seed; pass --seed explicitly")
 
 
 def _add_generator_args(p: argparse.ArgumentParser, transcript_ok: bool = False) -> None:
     g = p.add_argument_group("generator")
     g.add_argument("--scheme", choices=sorted(SCHEMES), help="named (n_cells, m_set) scheme")
-    g.add_argument("--n-cells", type=int, help="custom system size (with --m-set)")
+    g.add_argument("--n-cells", help="custom system size (with --m-set)")
     g.add_argument("--m-set", help="custom comma-separated gap alphabet (with --n-cells)")
     g.add_argument("--config", metavar="FILE", help="key=value config file, exclusive with the flags above")
-    g.add_argument("--seed", type=int, metavar="T", help="time-derived seed value")
+    g.add_argument("--seed", metavar="T", help="time-derived seed value")
     g.add_argument("--x0", metavar="BITS", help="explicit initial cell vector, e.g. 10100")
-    g.add_argument("--y0", type=float, help="explicit logistic seed in (0,1)")
+    g.add_argument("--y0", help="explicit logistic seed in (0,1)")
     g.add_argument("--seed-from-time", action="store_true", help="seed from the clock and print the value")
     g.add_argument("--no-emit-initial", action="store_true", help="start output at the first driven block")
     if transcript_ok:
@@ -114,51 +104,36 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
         with open(args.transcript, "r", encoding="ascii") as fh:
             transcript = transcript_from_text(fh.read())
 
-    shape_flags = args.scheme is not None or args.n_cells is not None or args.m_set is not None
-    seed_flags = (
-        args.seed is not None or args.x0 is not None or args.y0 is not None or args.seed_from_time
-    )
+    # Each generator flag sets the config key of the same name, as text;
+    # config_from_entries rejects a key given twice and SeedSpec a mix of
+    # seed forms.
+    entries = []
+    if args.scheme is not None:
+        n_cells, m_set = SCHEMES[args.scheme]
+        entries += [("n_cells", str(n_cells)), ("m_set", ",".join(map(str, m_set)))]
+    for key, value in (("n_cells", args.n_cells), ("m_set", args.m_set), ("seed.t", args.seed),
+                       ("seed.x0", args.x0), ("seed.y0", args.y0)):
+        if value is not None:
+            entries.append((key, value))
+    if args.no_emit_initial:
+        entries.append(("emit_initial", "false"))
+
     if args.config:
-        if shape_flags or seed_flags or args.no_emit_initial:
+        if entries or args.seed_from_time:
             raise ValueError("--config replaces the other generator flags; do not combine them")
         with open(args.config, "r", encoding="ascii") as fh:
             return config_from_text(fh.read()), transcript
 
-    if args.scheme is not None:
-        if args.n_cells is not None or args.m_set is not None:
-            raise ValueError("give either --scheme or --n-cells/--m-set, not both")
-        n_cells, m_set = SCHEMES[args.scheme]
-    elif args.n_cells is not None and args.m_set is not None:
-        n_cells = args.n_cells
-        m_set = _parse_int_list(args.m_set, "--m-set")
-    else:
-        raise ValueError("generator shape required: --scheme, --n-cells with --m-set, or --config")
-
-    seed_forms = sum(
-        (args.seed is not None, args.x0 is not None, bool(args.seed_from_time))
-    )
-    if args.seed is not None:
-        if args.x0 is not None or args.y0 is not None or args.seed_from_time:
-            raise ValueError("give exactly one seed form: --seed, --x0/--y0, or --seed-from-time")
-        seed = SeedSpec.from_time(args.seed)
-    elif args.seed_from_time:
-        if seed_forms > 1 or args.y0 is not None:
-            raise ValueError("give exactly one seed form: --seed, --x0/--y0, or --seed-from-time")
+    if args.x0 is not None and args.y0 is None and transcript is not None:
+        # A forced transcript never draws from the logistic driver, so y0 is a placeholder.
+        entries.append(("seed.y0", "0.1"))
+    if args.seed_from_time:
         t = _time_seed()
+        entries.append(("seed.t", str(t)))
+    config = config_from_entries(entries)
+    if args.seed_from_time:
+        # Printed only for a config that is used, so the run can be replayed.
         print(f"resolved seed.t={t}", file=sys.stderr)
-        seed = SeedSpec.from_time(t)
-    elif args.x0 is not None:
-        x0 = _parse_bit_vector(args.x0, "--x0")
-        y0 = args.y0
-        if y0 is None:
-            if transcript is None:
-                raise ValueError("--x0 needs --y0 (or a forced --transcript, which ignores y0)")
-            y0 = 0.1  # placeholder; a forced transcript never draws from the logistic driver
-        seed = SeedSpec.explicit(x0, y0)
-    else:
-        raise ValueError("seed required: --seed, --x0 with --y0, or --seed-from-time")
-
-    config = GeneratorConfig(n_cells, m_set, seed, emit_initial=not args.no_emit_initial)
     return config, transcript
 
 
@@ -272,24 +247,11 @@ def cmd_cycle(args) -> int:
     return 0
 
 
-def _parse_bit_vector(text: str, flag: str) -> tuple[int, ...]:
-    if not text or any(c not in "01" for c in text):
-        raise ValueError(f"bad {flag} {text!r}; expected a bit string like 10100")
-    return tuple(int(c) for c in text)
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad {flag} {text!r}; expected comma-separated integers") from None
-
-
 def cmd_distance(args) -> int:
-    e_a = _parse_bit_vector(args.e_a, "--e-a")
-    e_b = _parse_bit_vector(args.e_b, "--e-b")
-    s_a = _parse_int_list(args.s_a, "--s-a")
-    s_b = _parse_int_list(args.s_b, "--s-b")
+    e_a = parse_bit_vector(args.e_a, "--e-a")
+    e_b = parse_bit_vector(args.e_b, "--e-b")
+    s_a = parse_int_list(args.s_a, "--s-a")
+    s_b = parse_int_list(args.s_b, "--s-b")
     d = phase_distance(s_a, e_a, s_b, e_b, prefix_k=args.prefix_k)
     d_e = sum(1 for u, v in zip(e_a, e_b) if u != v)
     d_s = phase_distance(s_a, e_a, s_b, e_a, prefix_k=args.prefix_k)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,9 @@ __all__ = [
     "pack_bits",
     "bits_to_ascii",
     "parse_ascii_bits",
+    "SCHEMES",
     "config_to_text",
+    "config_from_entries",
     "config_from_text",
     "transcript_from_text",
 ]
@@ -209,7 +211,7 @@ class SeedSpec:
             require_int(self.t, "SeedSpec: t", 0)
         else:
             if self.x0 is None or self.y0 is None:
-                raise ValueError("SeedSpec: explicit form needs both x0 and y0")
+                raise ValueError("SeedSpec: give t, or both x0 and y0")
             object.__setattr__(self, "x0", _validate_x0(self.x0))
             object.__setattr__(self, "y0", _check_y0(self.y0))
 
@@ -528,12 +530,7 @@ def pack_bits(bits: Sequence[int]) -> bytes:
 
     The final partial byte, if any, is zero-padded in the low bits.
     """
-    arr = np.asarray(bits)
-    if arr.size == 0:
-        return b""
-    if np.any((arr != 0) & (arr != 1)):
-        raise ValueError("pack_bits: input must contain only 0s and 1s")
-    return np.packbits(arr.astype(np.uint8)).tobytes()
+    return np.packbits(require_bits(bits)).tobytes()
 
 
 def bits_to_ascii(bits: Sequence[int], wrap: int = 0) -> str:
@@ -574,6 +571,56 @@ def parse_ascii_bits(text: str) -> np.ndarray:
 _DROP_BITS = str.maketrans("", "", "01")
 
 
+# Named schemes: (n_cells, m_set).
+SCHEMES: dict[str, tuple[int, tuple[int, ...]]] = {
+    "scheme-1": (8, (1,)),
+    "scheme-2": (8, (8,)),
+    "scheme-3": (8, (1, 2, 3, 4, 5, 6, 7, 8)),
+    "scheme-4": (5, (4, 5)),
+    "scheme-5": (5, (9, 10)),
+    "scheme-6": (5, (14, 15)),
+}
+
+
+def parse_bit_vector(text: str, name: str) -> tuple[int, ...]:
+    """Parse a non-empty bit string such as 10100; name labels the error."""
+    if not text or any(c not in "01" for c in text):
+        raise ValueError(f"bad {name} {text!r}; expected a bit string like 10100")
+    return tuple(int(c) for c in text)
+
+
+def parse_int_list(text: str, name: str) -> tuple[int, ...]:
+    """Parse comma-separated integers such as 14,15; name labels the error."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad {name} {text!r}; expected comma-separated integers") from None
+
+
+def _parse_number(entries: dict[str, str], key: str, kind: type):
+    """entries[key] converted by kind (int or float), or None when key is absent."""
+    text = entries.get(key)
+    if text is None:
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"bad {key} {text!r}; expected {expected}") from None
+
+
+def _key_value_lines(text: str, what: str) -> Iterator[tuple[str, str]]:
+    """(key, value) of each key=value line; blank lines and '#' comments are skipped."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{what}: expected key=value, got {line!r}")
+        yield key.strip(), value.strip()
+
+
 def config_to_text(config: GeneratorConfig) -> str:
     """Serialize a config as plain key=value lines."""
     lines = [
@@ -592,53 +639,45 @@ def config_to_text(config: GeneratorConfig) -> str:
 _CONFIG_KEYS = {"n_cells", "m_set", "seed.t", "seed.x0", "seed.y0", "emit_initial"}
 
 
-def config_from_text(text: str) -> GeneratorConfig:
-    """Parse the key=value serialization produced by config_to_text.
+def config_from_entries(pairs: Iterable[tuple[str, str]]) -> GeneratorConfig:
+    """Build a config from (key, value) text pairs with the keys config_to_text writes.
 
-    Blank lines and lines starting with '#' are ignored.  y0 is parsed
+    Each key may be given once; n_cells and m_set are required.  The
+    seed is seed.t, or seed.x0 with seed.y0, as SeedSpec enforces.
+    emit_initial is true or false and defaults to true.  y0 is parsed
     as a binary64 decimal literal, so a serialized config round-trips
     bit-exactly.
     """
     entries: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"config: expected key=value, got {line!r}")
+    for key, value in pairs:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config: unknown key {key!r}")
         if key in entries:
-            raise ValueError(f"config: duplicate key {key!r}")
-        entries[key] = value.strip()
+            raise ValueError(f"config: {key} given twice")
+        entries[key] = value
     for required in ("n_cells", "m_set"):
         if required not in entries:
             raise ValueError(f"config: missing required key {required!r}")
-    try:
-        n_cells = int(entries["n_cells"])
-        m_set = tuple(int(v) for v in entries["m_set"].split(","))
-    except ValueError as exc:
-        raise ValueError(f"config: bad numeric field ({exc})") from None
-    if "seed.t" in entries:
-        if "seed.x0" in entries or "seed.y0" in entries:
-            raise ValueError("config: give either seed.t or seed.x0/seed.y0, not both")
-        seed = SeedSpec.from_time(int(entries["seed.t"]))
-    elif "seed.x0" in entries and "seed.y0" in entries:
-        x0_text = entries["seed.x0"]
-        if not x0_text or any(c not in "01" for c in x0_text):
-            raise ValueError(f"config: seed.x0 must be a bit string, got {x0_text!r}")
-        seed = SeedSpec.explicit(tuple(int(c) for c in x0_text), float(entries["seed.y0"]))
-    else:
-        raise ValueError("config: missing seed (seed.t or seed.x0 plus seed.y0)")
-    emit_initial = True
-    if "emit_initial" in entries:
-        flag = entries["emit_initial"].lower()
-        if flag not in ("true", "false"):
-            raise ValueError(f"config: emit_initial must be true or false, got {flag!r}")
-        emit_initial = flag == "true"
-    return GeneratorConfig(n_cells=n_cells, m_set=m_set, seed=seed, emit_initial=emit_initial)
+    emit_initial = entries.get("emit_initial", "true").lower()
+    if emit_initial not in ("true", "false"):
+        raise ValueError(f"config: emit_initial must be true or false, got {emit_initial!r}")
+    x0 = entries.get("seed.x0")
+    seed = SeedSpec(
+        t=_parse_number(entries, "seed.t", int),
+        x0=None if x0 is None else parse_bit_vector(x0, "seed.x0"),
+        y0=_parse_number(entries, "seed.y0", float),
+    )
+    n_cells = _parse_number(entries, "n_cells", int)
+    m_set = parse_int_list(entries["m_set"], "m_set")
+    return GeneratorConfig(n_cells, m_set, seed, emit_initial=emit_initial == "true")
+
+
+def config_from_text(text: str) -> GeneratorConfig:
+    """Parse the key=value lines config_to_text writes, as config_from_entries does.
+
+    Blank lines and lines starting with '#' are ignored.
+    """
+    return config_from_entries(_key_value_lines(text, "config"))
 
 
 def transcript_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -646,24 +685,12 @@ def transcript_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Blank lines and '#' comments are ignored; both lines are required.
     """
-    m_seq: tuple[int, ...] | None = None
-    s_seq: tuple[int, ...] | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip().lower()
-        if not sep or key not in ("m", "s"):
-            raise ValueError(f"transcript: expected m=... or s=..., got {line!r}")
-        try:
-            seq = tuple(int(v) for v in value.strip().split(","))
-        except ValueError:
-            raise ValueError(f"transcript: bad integer list in {line!r}") from None
-        if key == "m":
-            m_seq = seq
-        else:
-            s_seq = seq
-    if m_seq is None or s_seq is None:
+    seqs: dict[str, tuple[int, ...]] = {}
+    for key, value in _key_value_lines(text, "transcript"):
+        key = key.lower()
+        if key not in ("m", "s"):
+            raise ValueError(f"transcript: expected m=... or s=..., got key {key!r}")
+        seqs[key] = parse_int_list(value, f"transcript {key}=")
+    if len(seqs) < 2:
         raise ValueError("transcript: both an m= line and an s= line are required")
-    return m_seq, s_seq
+    return seqs["m"], seqs["s"]

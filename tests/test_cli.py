@@ -11,6 +11,7 @@ from chaosbits import (
     SeedSpec,
     TranscriptDriver,
     bits_to_ascii,
+    config_to_text,
     generate_bits,
     histogram,
     pack_bits,
@@ -190,6 +191,11 @@ def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):
         ["analyze", "--scheme", "scheme-6", "--seed", "484076", "--max-lag", "0"],
         ["cycle", "--scheme", "scheme-6", "--seed", "484076", "--budget", "0"],
         ["distance", "--e-a", "10", "--e-b", "101", "--s-a", "1", "--s-b", "1"],
+        ["gen", "--scheme", "scheme-6", "--seed", "1", "--seed-from-time", "--count", "5"],
+        ["gen", "--scheme", "scheme-6", "--m-set", "4,5", "--seed", "1", "--count", "5"],
+        ["gen", "--n-cells", "5", "--seed", "1", "--count", "5"],  # no --m-set
+        # rejected before the (missing) file is opened
+        ["gen", "--config", "cfg.txt", "--no-emit-initial", "--count", "5"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -203,6 +209,49 @@ def test_config_flag_is_exclusive(tmp_path, capsys):
     code = main(["gen", "--config", str(cfg_file), "--scheme", "scheme-6",
                  "--count", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, with_transcript, expected",
+    [
+        (["--scheme", "scheme-6", "--seed", "484076"], False,
+         GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))),
+        (["--n-cells", "5", "--m-set", "4,5", "--x0", "10100", "--y0", "0.3"], False,
+         GeneratorConfig(5, (4, 5), SeedSpec.explicit((1, 0, 1, 0, 0), 0.3))),
+        (["--scheme", "scheme-4", "--seed", "484076", "--no-emit-initial"], False,
+         GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076), emit_initial=False)),
+        # a forced transcript ignores y0, so the CLI fills in a placeholder
+        (["--scheme", "scheme-4", "--x0", "10100"], True,
+         GeneratorConfig(5, (4, 5), SeedSpec.explicit((1, 0, 1, 0, 0), 0.1))),
+    ],
+    ids=["scheme-seed", "shape-x0-y0", "no-emit-initial", "x0-transcript"],
+)
+def test_flags_and_config_file_resolve_alike(tmp_path, transcript_file, capsys, flags, with_transcript,
+                                             expected):
+    shared = ["--count", "20"] + (["--transcript", transcript_file] if with_transcript else [])
+    by_flags = tmp_path / "flags.txt"
+    by_file = tmp_path / "file.txt"
+    assert main(["gen", *flags, *shared, "--out", str(by_flags)]) == 0
+    # gen echoes config_to_text of the resolved config to stderr
+    config_text = capsys.readouterr().err
+    assert config_text == config_to_text(expected)
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(config_text)
+    assert main(["gen", "--config", str(cfg_file), *shared, "--out", str(by_file)]) == 0
+    assert capsys.readouterr().err == config_text
+    assert by_file.read_bytes() == by_flags.read_bytes()
+
+
+def test_seed_from_time_rereads_zero_and_degenerate_clock(tmp_path, monkeypatch, capsys):
+    # Microsecond parts 0 (no seed), 250000 (y0 = 0.25, a dead seed), then 484076.
+    clock = iter([0, 250_000_000, 484_076_000])
+    monkeypatch.setattr(chaosbits.cli.time, "time_ns", lambda: next(clock))
+    monkeypatch.setattr(chaosbits.cli.time, "sleep", lambda seconds: None)
+    out = tmp_path / "bits.txt"
+    code = main(["gen", "--scheme", "scheme-6", "--seed-from-time", "--count", "8", "--out", str(out)])
+    assert code == 0
+    assert "resolved seed.t=484076\n" in capsys.readouterr().err
+    assert next(clock, None) is None
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -620,6 +620,7 @@ def test_config_text_tolerates_comments_and_blanks():
     [
         "n_cells=5\nm_set=4,5\n",  # missing seed
         "n_cells=5\nm_set=4,5\nseed.t=1\nseed.y0=0.3\n",  # mixed seed forms
+        "n_cells=5\nm_set=4,5\nseed.x0=10100\n",  # x0 without y0
         "n_cells=5\nm_set=4,5\nseed.t=1\nbogus=1\n",  # unknown key
         "n_cells=5\nn_cells=5\nm_set=4,5\nseed.t=1\n",  # duplicate key
         "n_cells=5\nm_set=4,5\nseed.t=1\nemit_initial=maybe\n",  # bad flag
