@@ -224,58 +224,54 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
 
     steps = 0
 
-    def step(gen: ChaoticBitGenerator) -> None:
+    def advance(gen: ChaoticBitGenerator, limit: int, key: tuple | None = None) -> int:
         # Orbit elements are driven blocks: the block loop is stepped
         # directly, so the seed vector (emit_initial) is never echoed.
+        # Advance up to limit blocks, stopping after one whose state key
+        # equals key; running out of budget first ends the detection.
         nonlocal steps
-        if steps >= budget:
+        done = gen._advance_until(min(limit, budget - steps), key)
+        steps += done
+        if done < limit and (done == 0 or gen.state_key() != key):
             raise _BudgetHit
-        gen._advance_masks(1, [])
-        steps += 1
+        return done
 
     try:
-        # Brent phase 1: period. The tortoise is a stored key, teleported
-        # to the hare's position at each power-of-two boundary.
-        power = lam = 1
+        # Brent phase 1: period.  The tortoise is a stored key, teleported
+        # to the hare's position at each power-of-two window; the hare
+        # runs each window in one call that stops where it meets the key.
+        power = 1
         hare = fresh()
-        tortoise_key = hare.state_key()
-        step(hare)
-        hare_key = hare.state_key()
-        while hare_key != tortoise_key:
-            if power == lam:
-                tortoise_key = hare_key
-                power *= 2
-                lam = 0
-            step(hare)
-            hare_key = hare.state_key()
-            lam += 1
+        while True:
+            tortoise_key = hare.state_key()
+            lam = advance(hare, power, tortoise_key)
+            if hare.state_key() == tortoise_key:
+                break
+            power *= 2
 
         # Phase 2: transient, from two fresh restarts lam apart.
         ahead = fresh()
-        for _ in range(lam):
-            step(ahead)
+        advance(ahead, lam)
         behind = fresh()
         mu = 0
         while behind.state_key() != ahead.state_key():
-            step(behind)
-            step(ahead)
+            advance(behind, 1)
+            advance(ahead, 1)
             mu += 1
 
         # Verification: two aligned copies must agree for 3 periods.
         check_a = fresh()
-        for _ in range(mu):
-            step(check_a)
+        advance(check_a, mu)
         check_b = fresh()
-        for _ in range(mu + lam):
-            step(check_b)
+        advance(check_b, mu + lam)
         for _ in range(3 * lam):
             if check_a.state_key() != check_b.state_key():
                 raise RuntimeError(
                     "detect_cycle: verification failed; the state key does not "
                     "determine the orbit (this is a bug)"
                 )
-            step(check_a)
-            step(check_b)
+            advance(check_a, 1)
+            advance(check_b, 1)
     except _BudgetHit:
         return BudgetExceeded(budget=budget, steps_executed=steps)
 

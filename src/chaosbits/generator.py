@@ -33,6 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _blockloop
+
 __all__ = [
     "DegenerateSeedError",
     "TranscriptExhausted",
@@ -65,6 +67,10 @@ class DegenerateSeedError(Exception):
     would degenerate into a constant stream; re-seed with a different
     value.
     """
+
+
+def _dead(y: float) -> DegenerateSeedError:
+    return DegenerateSeedError(f"logistic driver reached fixed point y={y!r}; the seed is dead")
 
 
 class TranscriptExhausted(Exception):
@@ -366,6 +372,16 @@ class ChaoticBitGenerator:
         # indexed by s - 1, and the inner-loop range of each gap.
         self._flips = [1 << (n - 1 - r) for r in range(n)]
         self._gap_ranges = [range(m) for m in config.m_set]
+        # The compiled block loop covers the logistic driver with masks
+        # of one uint64 and gaps of one int64.
+        self._kernel = None
+        if driver is None and n <= 64 and config.m_set[-1] < 1 << 63:
+            self._kernel = _blockloop.load()
+        if self._kernel is not None:
+            self._gaps = np.array(config.m_set, dtype=np.int64)
+            self._kernel_state = _blockloop.KernelState(
+                n=n, k=self._gaps.size, gaps=self._gaps.ctypes.data
+            )
 
     # -- state inspection ---------------------------------------------
 
@@ -382,6 +398,17 @@ class ChaoticBitGenerator:
             blocks_emitted=self._blocks_emitted,
         )
 
+    @property
+    def backend(self) -> str:
+        """Which block loop runs this generator: "c" or "python".
+
+        The compiled loop (see chaosbits._blockloop) runs the logistic
+        driver for n_cells <= 64 whenever gcc can build it; transcripts,
+        wider states and hosts without gcc run the Python loop.  Both
+        produce the same bits and the same state.
+        """
+        return "python" if self._kernel is None else "c"
+
     def state_key(self) -> tuple:
         """Hashable full digital state: cell mask plus driver state.
 
@@ -396,25 +423,31 @@ class ChaoticBitGenerator:
 
     # -- block production ---------------------------------------------
 
-    def _advance_masks(self, nblocks: int, masks: list[int]) -> None:
-        """Run nblocks driven blocks, appending the emitted cell masks to masks.
+    def _advance_masks(self, nblocks: int, out: np.ndarray | None = None) -> None:
+        """Run nblocks driven blocks, writing the emitted cell masks to out[:nblocks].
 
-        This loop is the only code that turns driver samples into cell
-        masks.  Without a transcript it runs the logistic recurrence
-        inline, with the same arithmetic as logistic_step, m_from_y,
-        strategy_from_y and chaotic_step.  On an error mid-block (a
-        degenerate orbit, an exhausted transcript or an out-of-range
-        strategy) the generator is left in the state reached at the
-        failure point, masks holds the blocks completed before it, and
-        the error propagates; a failing logistic sample is never
-        consumed.
+        This loop is the only Python code that turns driver samples into
+        cell masks, and the reference for the compiled loop, which runs
+        in its place when the generator has one (see ``backend``).
+        Without a transcript it runs the logistic recurrence inline,
+        with the same arithmetic as logistic_step, m_from_y,
+        strategy_from_y and chaotic_step.  out, when given, is a uint64
+        array for n_cells <= 64 and an object array above.  On an error
+        mid-block (a degenerate orbit, an exhausted transcript or an
+        out-of-range strategy) the generator is left in the state
+        reached at the failure point, out holds the blocks completed
+        before it (as many as blocks_emitted grew by), and the error
+        propagates; a failing logistic sample is never consumed.
         """
+        if self._kernel is not None:
+            self._run_kernel(nblocks, out, None)
+            return
         transcript = self._transcript
         n = self._n
         y = self._y
         mask = self._mask
         iters = 0
-        first = len(masks)
+        masks: list[int] = []
         append = masks.append
         try:
             if transcript is None:
@@ -426,18 +459,14 @@ class ChaoticBitGenerator:
                     gap = gap_ranges[i if i < k else k - 1]
                     nxt = 4.0 * y * (1.0 - y)
                     if nxt == y:
-                        raise DegenerateSeedError(
-                            f"logistic driver reached fixed point y={y!r}; the seed is dead"
-                        )
+                        raise _dead(y)
                     y = nxt
                     for j in gap:
                         r = int(1e7 * y) % n
                         nxt = 4.0 * y * (1.0 - y)
                         if nxt == y:
                             iters += j
-                            raise DegenerateSeedError(
-                                f"logistic driver reached fixed point y={y!r}; the seed is dead"
-                            )
+                            raise _dead(y)
                         y = nxt
                         mask ^= flips[r]
                     iters += len(gap)
@@ -452,7 +481,42 @@ class ChaoticBitGenerator:
             self._y = y
             self._mask = mask
             self._iter_count += iters
-            self._blocks_emitted += len(masks) - first
+            self._blocks_emitted += len(masks)
+            if out is not None and masks:
+                out[: len(masks)] = masks
+
+    def _run_kernel(self, nblocks: int, out: np.ndarray | None, key: tuple | None) -> int:
+        """One call of the compiled loop: _advance_masks' logistic branch,
+        stopping early after a block whose state_key() equals key."""
+        st = self._kernel_state
+        st.y = self._y
+        st.mask = self._mask
+        st.has_key = key is not None
+        if key is not None:
+            st.key_mask, st.key_y = key
+        done = self._kernel(st, nblocks, None if out is None else out.ctypes.data)
+        self._y = st.y
+        self._mask = st.mask
+        self._iter_count += st.iters
+        self._blocks_emitted += done
+        if st.dead:
+            raise _dead(st.y)
+        return done
+
+    def _advance_until(self, limit: int, key: tuple | None) -> int:
+        """Advance up to limit driven blocks, stopping after the first
+        whose state_key() equals key (never, when key is None); return
+        the number of blocks advanced.  Errors are as in _advance_masks."""
+        if self._kernel is not None:
+            return self._run_kernel(limit, None, key)
+        if key is None:
+            self._advance_masks(limit)
+            return limit
+        for done in range(1, limit + 1):
+            self._advance_masks(1)
+            if self.state_key() == key:
+                return done
+        return limit
 
     def next_block(self) -> tuple[int, ...]:
         """Emit the next block, components in order 1..n_cells.
@@ -464,7 +528,7 @@ class ChaoticBitGenerator:
             self._initial_pending = False
             self._blocks_emitted += 1
         else:
-            self._advance_masks(1, [])
+            self._advance_masks(1)
         return self._mask_tuple(self._mask)
 
     def bits(self, count: int) -> np.ndarray:
@@ -486,17 +550,19 @@ class ChaoticBitGenerator:
         self._pending_bits = pend[pos:]
         if pos == count:
             return out
-        masks: list[int] = []
+        masks = np.empty((count - pos + n - 1) // n, dtype=np.uint64 if n <= 64 else object)
+        first = self._blocks_emitted
         try:
-            nblocks = (count - pos + n - 1) // n
+            head = 0
             if self._initial_pending:
                 self._initial_pending = False
                 self._blocks_emitted += 1
-                masks.append(self._mask)
-                nblocks -= 1
-            self._advance_masks(nblocks, masks)
+                masks[0] = self._mask
+                head = 1
+            self._advance_masks(masks.size - head, masks[head:])
         except BaseException:
-            self._pending_bits = np.concatenate((out[:pos], _masks_to_bit_array(masks, n)))
+            done = masks[: self._blocks_emitted - first]
+            self._pending_bits = np.concatenate((out[:pos], _masks_to_bit_array(done, n)))
             raise
         fresh = _masks_to_bit_array(masks, n)
         out[pos:] = fresh[: count - pos]
@@ -504,11 +570,14 @@ class ChaoticBitGenerator:
         return out
 
 
-def _masks_to_bit_array(masks: Sequence[int], n_cells: int) -> np.ndarray:
-    """Cells of each mask, component 1 (the high bit) first, as one uint8 array."""
+def _masks_to_bit_array(masks: np.ndarray, n_cells: int) -> np.ndarray:
+    """Cells of each mask, component 1 (the high bit) first, as one uint8 array.
+
+    masks is a uint64 array for n_cells <= 64 and an object array of ints above.
+    """
     nbytes = (n_cells + 7) // 8
     if n_cells <= 64:
-        words = np.asarray(masks, dtype=">u8").view(np.uint8).reshape(-1, 8)
+        words = masks.astype(">u8").view(np.uint8).reshape(-1, 8)
         rows = words[:, 8 - nbytes :]
     else:
         raw = b"".join(mask.to_bytes(nbytes, "big") for mask in masks)
@@ -683,13 +752,16 @@ def config_from_text(text: str) -> GeneratorConfig:
 def transcript_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Parse a forced transcript: lines ``m=4,5,4`` and ``s=2,4,2,...``.
 
-    Blank lines and '#' comments are ignored; both lines are required.
+    Blank lines and '#' comments are ignored; both lines are required,
+    and each may be given once.
     """
     seqs: dict[str, tuple[int, ...]] = {}
     for key, value in _key_value_lines(text, "transcript"):
         key = key.lower()
         if key not in ("m", "s"):
             raise ValueError(f"transcript: expected m=... or s=..., got key {key!r}")
+        if key in seqs:
+            raise ValueError(f"transcript: {key} given twice")
         seqs[key] = parse_int_list(value, f"transcript {key}=")
     if len(seqs) < 2:
         raise ValueError("transcript: both an m= line and an s= line are required")

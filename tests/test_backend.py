@@ -1,0 +1,250 @@
+"""The compiled block loop against the Python block loop it replaces.
+
+The Python loop in ChaoticBitGenerator._advance_masks is the reference.
+Each test runs the same work twice: once as the package runs it, on the
+compiled loop when gcc can build it, and once with the kernel handle
+patched away, which leaves every generator on the Python loop.
+"""
+
+import shutil
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaosbits import (
+    SCHEMES,
+    BudgetExceeded,
+    ChaoticBitGenerator,
+    CycleReport,
+    DegenerateSeedError,
+    GeneratorConfig,
+    SeedSpec,
+    TranscriptDriver,
+    _blockloop,
+    detect_cycle,
+    seed_from_time,
+)
+
+
+def python_loop(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every generator it builds on the Python block loop."""
+    with mock.patch.object(_blockloop, "load", lambda: None):
+        return fn(*args, **kwargs)
+
+
+def expected_backend():
+    return "c" if shutil.which("gcc") else "python"
+
+
+def test_backend_reports_which_loop_runs():
+    # With gcc on PATH the compiled loop must build and load: a broken
+    # build fails here instead of silently running the Python loop.
+    logistic = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
+    assert ChaoticBitGenerator(logistic).backend == expected_backend()
+    wide = GeneratorConfig(64, (1, 3), SeedSpec.from_time(903211))
+    assert ChaoticBitGenerator(wide).backend == expected_backend()
+    forced = ChaoticBitGenerator(logistic, driver=TranscriptDriver((4, 5), (1, 2, 3)))
+    assert forced.backend == "python"
+    assert ChaoticBitGenerator(GeneratorConfig(65, (2,), SeedSpec.from_time(903211))).backend == "python"
+
+
+def test_build_into_fresh_cache_leaves_one_library(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    fn = _blockloop.load.__wrapped__()  # bypass the per-process handle
+    if shutil.which("gcc"):
+        assert fn is not None
+        assert [p.suffix for p in (tmp_path / "chaosbits").iterdir()] == [".so"]
+    else:
+        assert fn is None
+
+
+@pytest.mark.parametrize(
+    "source, reason",
+    [("this is not C\n", "building _blockloop.c failed"), (None, "compiled block loop is unavailable")],
+    ids=["broken", "missing"],
+)
+def test_unusable_source_falls_back_with_a_warning(tmp_path, monkeypatch, source, reason):
+    path = tmp_path / "_blockloop.c"
+    if source is not None:
+        path.write_text(source)
+    monkeypatch.setattr(_blockloop, "_SOURCE", path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    if shutil.which("gcc"):
+        with pytest.warns(RuntimeWarning, match=reason):
+            assert _blockloop.load.__wrapped__() is None
+    else:
+        assert _blockloop.load.__wrapped__() is None
+    assert not list(tmp_path.glob("cache/**/*.so*"))  # no half-written library left
+
+
+def test_python_loop_helper_forces_python():
+    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
+    assert python_loop(ChaoticBitGenerator, cfg).backend == "python"
+
+
+def run_calls(cfg, calls):
+    """Drive a fresh generator through bits(k) calls; return every result,
+    the final state and the buffered bits.
+
+    A call that raises records its exception type; the run stops there.
+    """
+    gen = ChaoticBitGenerator(cfg)
+    results = []
+    for k in calls:
+        try:
+            results.append(gen.bits(k).tobytes())
+        except DegenerateSeedError:
+            results.append("DegenerateSeedError")
+            break
+    state = gen.state
+    return results, (state.x, state.y, state.iter_count, state.blocks_emitted), gen._pending_bits.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(GeneratorConfig(n, m_set, SeedSpec.from_time(484076)), id=name)
+        for name, (n, m_set) in SCHEMES.items()
+    ]
+    + [
+        pytest.param(GeneratorConfig(64, (1, 3), SeedSpec.from_time(903211)), id="n64"),
+        pytest.param(GeneratorConfig(2, (1, 2, 5), SeedSpec.from_time(123457)), id="n2"),
+    ],
+)
+def test_million_bits_match_python_loop(cfg):
+    calls = [1_000_000, 7]
+    assert run_calls(cfg, calls) == python_loop(run_calls, cfg, calls)
+
+
+def usable_time_seed(t, n):
+    try:
+        seed_from_time(t, n)
+    except DegenerateSeedError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 64),
+    st.lists(st.integers(1, 20), min_size=1, max_size=4, unique=True),
+    st.integers(1, 10**7).filter(lambda t: usable_time_seed(t, 2)),
+    st.booleans(),
+    st.lists(st.integers(0, 700), max_size=6),
+)
+def test_split_bits_match_python_loop(n, m_set, t, emit_initial, calls):
+    cfg = GeneratorConfig(n, tuple(m_set), SeedSpec.from_time(t), emit_initial=emit_initial)
+    compiled = run_calls(cfg, calls)
+    assert compiled == python_loop(run_calls, cfg, calls)
+    # The split stream is also the stream of one call.
+    whole = python_loop(run_calls, cfg, [sum(calls)])[0]
+    if "DegenerateSeedError" not in compiled[0] + whole:
+        assert b"".join(compiled[0]) == whole[0]
+
+
+# Fixed points the existing generator tests use: from y0 = 0.5 + 1 ulp
+# the orbit goes 1.0, then 0.0, which is a fixed point.  With gap 1 the
+# second block's gap draw fails; with gap 2 the first block fails after
+# one cell update; with gaps (1, 2, 3) and n = 7 it fails mid-block.
+FIXED_POINT_CONFIGS = [
+    GeneratorConfig(2, (1,), SeedSpec.explicit((0, 1), 0.5000000000000001)),
+    GeneratorConfig(2, (2,), SeedSpec.explicit((0, 1), 0.5000000000000001), emit_initial=False),
+    GeneratorConfig(7, (1, 2, 3), SeedSpec.explicit((1, 0, 1, 1, 0, 0, 1), 0.5000000000000001)),
+]
+
+
+@pytest.mark.parametrize("cfg", FIXED_POINT_CONFIGS)
+@pytest.mark.parametrize("calls", [[64], [1] * 9, [3, 100]])
+def test_failure_state_matches_python_loop(cfg, calls):
+    compiled = run_calls(cfg, calls)
+    assert compiled[0][-1] == "DegenerateSeedError"
+    assert compiled == python_loop(run_calls, cfg, calls)
+
+
+@pytest.mark.parametrize("cfg", FIXED_POINT_CONFIGS)
+def test_next_block_failure_matches_python_loop(cfg):
+    def blocks(cfg):
+        gen = ChaoticBitGenerator(cfg)
+        out = []
+        try:
+            for _ in range(5):
+                out.append(gen.next_block())
+        except DegenerateSeedError as exc:
+            out.append(str(exc))
+        return out, gen.state
+
+    assert blocks(cfg) == python_loop(blocks, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 300), st.sampled_from([(5, (14, 15)), (8, (1,)), (64, (1, 3))]))
+def test_advance_until_stops_at_key_like_python_loop(target, limit, shape):
+    # The key is the state reached after target blocks, so both loops
+    # stop there when limit allows, and run out at limit otherwise.
+    cfg = GeneratorConfig(*shape, SeedSpec.from_time(484076))
+    ref = python_loop(ChaoticBitGenerator, cfg)
+    ref._advance_masks(target)
+    key = ref.state_key()
+
+    def advance(cfg):
+        gen = ChaoticBitGenerator(cfg)
+        return gen._advance_until(limit, key), gen.state
+
+    compiled = advance(cfg)
+    assert compiled == python_loop(advance, cfg)
+    assert compiled[0] == (min(target, limit) if target else limit)
+
+
+# y0 reaches, after 108,847 samples, a binary64 logistic cycle of 420,909
+# samples.  With the one gap 420,908 a block spans the whole cycle, so
+# from block 1 on y repeats every block and the cells every two blocks:
+# transient 1, period 2.  Brent's phase 1 closes on step 3, and the whole
+# detection with its verification takes 23 steps.
+SHORT_CYCLE = GeneratorConfig(5, (420908,), SeedSpec.explicit((1, 0, 1, 0, 0), 0.25563111672756278))
+
+
+@pytest.mark.parametrize(
+    "budget, expected",
+    [
+        (2, BudgetExceeded(budget=2, steps_executed=2)),
+        (3, BudgetExceeded(budget=3, steps_executed=3)),
+        (23, CycleReport(transient_length=1, cycle_period=2, orbit_length=3)),
+    ],
+)
+def test_detect_cycle_matches_python_loop(budget, expected):
+    assert detect_cycle(SHORT_CYCLE, budget=budget) == expected
+    assert python_loop(detect_cycle, SHORT_CYCLE, budget=budget) == expected
+
+
+@pytest.mark.parametrize("budget", [1, 37, 1000])
+def test_detect_cycle_budget_matches_python_loop(budget):
+    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
+    expected = BudgetExceeded(budget=budget, steps_executed=budget)
+    assert detect_cycle(cfg, budget=budget) == expected
+    assert python_loop(detect_cycle, cfg, budget=budget) == expected
+
+
+def test_detect_cycle_fixed_point_matches_python_loop():
+    cfg = FIXED_POINT_CONFIGS[2]
+    with pytest.raises(DegenerateSeedError) as compiled:
+        detect_cycle(cfg)
+    with pytest.raises(DegenerateSeedError) as reference:
+        python_loop(detect_cycle, cfg)
+    assert str(compiled.value) == str(reference.value)
+
+
+@pytest.mark.parametrize(
+    "budget, expected",
+    [
+        (31, BudgetExceeded(budget=31, steps_executed=31)),
+        (158, BudgetExceeded(budget=158, steps_executed=158)),
+        (159, CycleReport(transient_length=0, cycle_period=16, orbit_length=16)),
+    ],
+)
+def test_detect_cycle_step_accounting_under_transcript(budget, expected):
+    # The worked example: phase 1 closes on step 31 (windows 1+2+4+8,
+    # then 16), and detection plus verification takes 159 steps.
+    cfg = GeneratorConfig(4, (1, 2), SeedSpec.explicit((0, 0, 0, 0), 0.1))
+    assert detect_cycle(cfg, transcript=((1, 2), (1, 2, 3, 4)), budget=budget) == expected

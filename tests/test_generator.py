@@ -645,3 +645,7 @@ def test_transcript_from_text():
         transcript_from_text("m=4,x\ns=1\n")
     with pytest.raises(ValueError):
         transcript_from_text("q=1\nm=1\ns=1\n")
+    with pytest.raises(ValueError, match="transcript: m given twice"):
+        transcript_from_text("m=1,2\ns=1\nm=3\n")
+    with pytest.raises(ValueError, match="transcript: s given twice"):
+        transcript_from_text("s=1\nm=1\nS=2\n")
