@@ -5,7 +5,8 @@
 name keyed by a hash of the source, the flags and the machine type, and
 loads it through ctypes.  A build is written to a temporary name and
 renamed into place, so a concurrent process never loads a half-written
-library.  Without ``gcc`` on PATH `load` returns None, and when the
+library, and a new build deletes the other ``blockloop-*.so`` files
+there.  Without ``gcc`` on PATH `load` returns None, and when the
 build or the load fails it warns (RuntimeWarning) and returns None; the
 generator then runs its Python block loop.
 """
@@ -64,6 +65,17 @@ def _build(gcc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _prune(keep: Path) -> None:
+    # The other libraries come from another source, flags or machine; a
+    # process that still needs one rebuilds it.
+    for old in keep.parent.glob("blockloop-*.so"):
+        if old != keep:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 @functools.cache
 def load():
     """The ctypes function chaosbits_advance, or None when it cannot be built.
@@ -79,6 +91,7 @@ def load():
         target = _cache_dir() / f"blockloop-{hashlib.sha256(key).hexdigest()[:16]}.so"
         if not target.exists():
             _build(gcc, target)
+            _prune(target)
         fn = ctypes.CDLL(str(target)).chaosbits_advance
     except subprocess.CalledProcessError as exc:
         reason = f"building {_SOURCE.name} failed:\n{exc.stderr}"

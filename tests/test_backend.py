@@ -60,6 +60,20 @@ def test_build_into_fresh_cache_leaves_one_library(tmp_path, monkeypatch):
         assert fn is None
 
 
+def test_build_from_changed_source_prunes_the_old_library(tmp_path, monkeypatch):
+    if not shutil.which("gcc"):
+        pytest.skip("needs gcc to build the library")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _blockloop.load.__wrapped__() is not None
+    first = list((tmp_path / "cache" / "chaosbits").iterdir())
+    edited = tmp_path / "_blockloop.c"
+    edited.write_text(_blockloop._SOURCE.read_text() + "/* edited */\n")
+    monkeypatch.setattr(_blockloop, "_SOURCE", edited)
+    assert _blockloop.load.__wrapped__() is not None
+    (library,) = (tmp_path / "cache" / "chaosbits").iterdir()
+    assert library.suffix == ".so" and [library] != first
+
+
 @pytest.mark.parametrize(
     "source, reason",
     [("this is not C\n", "building _blockloop.c failed"), (None, "compiled block loop is unavailable")],

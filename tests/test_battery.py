@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chaosbits import (
     P_T_THRESHOLD,
@@ -26,6 +27,7 @@ from chaosbits import (
     serial,
     spectral_dft,
 )
+from chaosbits.battery import _pattern_counts
 
 # Frozen reference values (brute-force/high-precision oracles, separate
 # session).  Implementation agreement is required to 1e-12 relative.
@@ -282,6 +284,33 @@ def test_apen_gates():
         approximate_entropy(random_bits(100, 5), 0, relaxed=True)
     with pytest.raises(ValueError):
         approximate_entropy(random_bits(1000, 5), 10)  # needs n >= 2^16 strict
+
+
+# -- shared pattern counts ----------------------------------------------------
+
+
+def reference_pattern_counts(b, m):
+    # One sliding-window pass per pattern length: the wraparound m-bit
+    # pattern counts that serial and approximate entropy are defined on.
+    ext = np.concatenate([b, b[: m - 1]]) if m > 1 else b
+    windows = sliding_window_view(ext, m)
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+    return np.bincount(windows @ weights, minlength=1 << m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 1), min_size=m, max_size=300))
+    )
+)
+def test_pattern_counts_match_per_length_reference(case):
+    m, seq = case
+    b = np.array(seq, dtype=np.uint8)
+    counts = _pattern_counts(b, m)
+    assert len(counts) == m
+    for i, c in enumerate(counts):
+        np.testing.assert_array_equal(c, reference_pattern_counts(b, m - i))
 
 
 # -- p-value range property over all tests -----------------------------------

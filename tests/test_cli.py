@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import gc
 from pathlib import Path
 
 import pytest
@@ -264,6 +266,19 @@ def test_argparse_rejects_unknown_scheme():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--scheme", "scheme-7", "--seed", "484076", "--count", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--scheme", "scheme-6", "--seed", "484076", "--count", "64"], ["gen", "--scheme", "nope"],
+     ["gen", "--y0", "0.5", "--x0", "10110", "--scheme", "scheme-6", "--count", "64"]],
+    ids=["ok", "argparse-exit", "runtime-error"],
+)
+def test_main_leaves_the_collector_unfrozen(argv, capsys):
+    gc.unfreeze()
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert gc.get_freeze_count() == 0
 
 
 # -- runtime errors (exit 3) -------------------------------------------------------

@@ -1,15 +1,25 @@
-"""Special-function accuracy against frozen high-precision references.
+"""Special-function accuracy against high-precision references.
 
-The reference values were computed with a 40-digit arbitrary-precision
+The reference tables were computed with a 40-digit arbitrary-precision
 library in a separate session and frozen here, so these tests are
-independent of the implementation under test.
+independent of the implementation under test.  The property tests
+compare with mpmath at 40 digits over the battery's domain.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaosbits.battery import erfc, gammainc_upper
+import chaosbits
+from chaosbits import battery
+from chaosbits.battery import _cusum_p, erfc, gammainc_upper
 
 # (x, erfc(x)) computed at 40 decimal digits, rounded to binary64.
 ERFC_REFERENCE = [
@@ -83,3 +93,81 @@ def test_gammainc_upper_rejects_bad_domain():
     with pytest.raises(ValueError):
         gammainc_upper(1.0, -0.5)
 
+
+def test_gammainc_upper_rejects_nan():
+    with pytest.raises(ValueError, match="x must be non-negative"):
+        gammainc_upper(1.0, math.nan)
+    with pytest.raises(ValueError, match="a must be positive"):
+        gammainc_upper(math.nan, 1.0)
+
+
+def test_gammainc_upper_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(battery, "_EPS", 0.0)  # no term is ever small enough
+    for x in (0.5, 5.0):  # the series, then the continued fraction
+        with pytest.raises(ArithmeticError, match="no convergence"):
+            gammainc_upper(1.0, x)
+
+
+def q_reference(a, x):
+    """Q(a, x) at 40 digits; below a it is 1 - P, which mpmath evaluates faster."""
+    with mpmath.workdps(40):
+        if x < a:
+            return 1 - mpmath.gammainc(a, 0, x, regularized=True)
+        return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+
+@st.composite
+def gamma_points(draw):
+    # a: the battery's shapes k/2 (block frequency, longest run, P_T) and
+    # the serial/ApEn shapes 2^j; x: both sides of the switch at a + 1,
+    # within 40 standard deviations, and far below it.
+    a = draw(st.one_of(st.integers(1, 64).map(lambda k: k / 2), st.integers(0, 20).map(lambda j: 2.0 ** j)))
+    spread = max(math.sqrt(a), 1.0)
+    near = st.floats(max(-40.0, -(a + 1.0) / spread), 40.0).map(lambda d: a + 1.0 + d * spread)
+    far = st.floats(1e-6, 1.0).map(lambda f: f * a)
+    return a, draw(st.one_of(near, far))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gamma_points())
+def test_gammainc_upper_matches_mpmath(point):
+    a, x = point
+    expected = q_reference(a, x)
+    if expected >= 1e-300:
+        assert abs(gammainc_upper(a, x) - expected) <= 1e-11 * expected
+
+
+@pytest.mark.parametrize("a", [2.0 ** 20, 16384.0, 4.5, 0.5])
+@pytest.mark.parametrize("d", [-3.0, -1e-9, 0.0, 1.0, 30.0])
+def test_gammainc_upper_at_the_switch_and_far_tail(a, d):
+    # x = a + 1 + d*sqrt(a): the two sides of the series/fraction switch,
+    # and a tail where the prefactor's cancellation used to grow with a.
+    x = max(a + 1.0 + d * math.sqrt(a), 0.0)
+    expected = q_reference(a, x)
+    assert abs(gammainc_upper(a, x) - expected) <= 1e-11 * expected
+
+
+def cusum_reference(z, n):
+    """The cumulative-sums tail series with mpmath's normal CDF at 40 digits."""
+    with mpmath.workdps(40):
+        sn = mpmath.sqrt(n)
+        k_hi = (n - z) // (4 * z)
+        s1 = sum(mpmath.ncdf((4 * k + 1) * z / sn) - mpmath.ncdf((4 * k - 1) * z / sn)
+                 for k in range((z - n) // (4 * z), k_hi + 1))
+        s2 = sum(mpmath.ncdf((4 * k + 3) * z / sn) - mpmath.ncdf((4 * k + 1) * z / sn)
+                 for k in range((-n - 3 * z) // (4 * z), k_hi + 1))
+        return 1 - s1 + s2
+
+
+@pytest.mark.parametrize("z,n", [(16, 100), (1687, 200000), (540, 200000), (30, 10 ** 4)])
+def test_cusum_p_matches_mpmath_series(z, n):
+    # (16, 100) is the standard's worked example, P = 0.219194.
+    expected = cusum_reference(z, n)
+    assert abs(_cusum_p(z, n) - expected) <= 1e-12 * expected
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(chaosbits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, chaosbits.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
