@@ -17,139 +17,13 @@ The package has five parts:
 - :mod:`chaosbits.cli`: the ``chaosbits`` command-line tool.
 """
 
-from .analysis import (
-    BudgetExceeded,
-    CorrelationSeries,
-    CycleReport,
-    PowerSpectrum,
-    autocorrelation,
-    cross_correlation,
-    detect_cycle,
-    ideal_period,
-    phase_distance,
-    phase_distance_tail_bound,
-    power_spectrum,
-)
-from .battery import (
-    P_T_THRESHOLD,
-    BatteryEntry,
-    BatteryReport,
-    TestResult,
-    approximate_entropy,
-    block_frequency,
-    cumulative_sums,
-    erfc,
-    frequency_monobit,
-    gammainc_upper,
-    longest_run,
-    p_uniformity,
-    report_to_csv,
-    report_to_text,
-    run_battery,
-    runs_test,
-    serial,
-    spectral_dft,
-)
-from .cipher import (
-    CHI2_1PCT_255DF,
-    GrayscaleImage,
-    Histogram,
-    chi_square_uniformity,
-    histogram,
-    keystream_bytes,
-    read_pgm,
-    write_pgm,
-    xor_cipher,
-)
-from .generator import (
-    SCHEMES,
-    ChaoticBitGenerator,
-    DegenerateSeedError,
-    GeneratorConfig,
-    GeneratorState,
-    SeedSpec,
-    TranscriptDriver,
-    TranscriptExhausted,
-    bits_to_ascii,
-    chaotic_step,
-    config_from_entries,
-    config_from_text,
-    config_to_text,
-    generate_bits,
-    logistic_step,
-    m_from_y,
-    pack_bits,
-    parse_ascii_bits,
-    seed_from_time,
-    strategy_from_y,
-    transcript_from_text,
-)
+from . import analysis, battery, cipher, generator
+from .analysis import *  # noqa: F403
+from .battery import *  # noqa: F403
+from .cipher import *  # noqa: F403
+from .generator import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # generator
-    "SCHEMES",
-    "ChaoticBitGenerator",
-    "DegenerateSeedError",
-    "GeneratorConfig",
-    "GeneratorState",
-    "SeedSpec",
-    "TranscriptDriver",
-    "TranscriptExhausted",
-    "bits_to_ascii",
-    "chaotic_step",
-    "config_from_entries",
-    "config_from_text",
-    "config_to_text",
-    "generate_bits",
-    "logistic_step",
-    "m_from_y",
-    "pack_bits",
-    "parse_ascii_bits",
-    "seed_from_time",
-    "strategy_from_y",
-    "transcript_from_text",
-    # battery
-    "P_T_THRESHOLD",
-    "BatteryEntry",
-    "BatteryReport",
-    "TestResult",
-    "approximate_entropy",
-    "block_frequency",
-    "cumulative_sums",
-    "erfc",
-    "frequency_monobit",
-    "gammainc_upper",
-    "longest_run",
-    "p_uniformity",
-    "report_to_csv",
-    "report_to_text",
-    "run_battery",
-    "runs_test",
-    "serial",
-    "spectral_dft",
-    # analysis
-    "BudgetExceeded",
-    "CorrelationSeries",
-    "CycleReport",
-    "PowerSpectrum",
-    "autocorrelation",
-    "cross_correlation",
-    "detect_cycle",
-    "ideal_period",
-    "phase_distance",
-    "phase_distance_tail_bound",
-    "power_spectrum",
-    # cipher
-    "CHI2_1PCT_255DF",
-    "GrayscaleImage",
-    "Histogram",
-    "chi_square_uniformity",
-    "histogram",
-    "keystream_bytes",
-    "read_pgm",
-    "write_pgm",
-    "xor_cipher",
-]
+# The public API is each submodule's own __all__.
+__all__ = ["__version__", *generator.__all__, *battery.__all__, *analysis.__all__, *cipher.__all__]

@@ -1,4 +1,4 @@
-/* The logistic branch of ChaoticBitGenerator._advance_masks, compiled.
+/* The logistic branch of ChaoticBitGenerator._advance, compiled.
  *
  * The same binary64 operations in the same order as the Python block loop:
  * the gap index (int64_t)(y*k), the step 4.0*y*(1.0-y), the strategy

@@ -230,7 +230,7 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
         # Advance up to limit blocks, stopping after one whose state key
         # equals key; running out of budget first ends the detection.
         nonlocal steps
-        done = gen._advance_until(min(limit, budget - steps), key)
+        done = gen._advance(min(limit, budget - steps), key=key)
         steps += done
         if done < limit and (done == 0 or gen.state_key() != key):
             raise _BudgetHit

@@ -314,15 +314,22 @@ def cumulative_sums(bits, relaxed: bool = False) -> tuple[TestResult, TestResult
     """Maximum partial-sum excursion of the +/-1 walk, both directions.
 
     Returns (forward, backward) results; the backward variant walks the
-    reversed sequence.
+    reversed sequence.  Both come from one forward walk s: the backward
+    walk's partial sums are s[-1] - s[i] for the positions i before the
+    last step, the empty prefix (sum 0) included.
     """
     b = require_bits(bits)
     n = b.size
     _require_length(n, 100, 1, relaxed, "cumulative-sums")
-    x = 2 * b.astype(np.int64) - 1
+    # |s| <= n, so int32 holds every walk below 2^31 steps.
+    walk = np.int32 if n < 1 << 31 else np.int64
+    s = np.cumsum(2 * b.astype(walk) - 1, dtype=walk)
+    last = int(s[-1])
+    head = s[:-1]
+    forward = max(int(s.max()), -int(s.min()))
+    backward = max(last - int(head.min(initial=0)), int(head.max(initial=0)) - last)
     out = []
-    for name, seq in (("cumulative-sums-forward", x), ("cumulative-sums-backward", x[::-1])):
-        z = int(np.max(np.abs(np.cumsum(seq))))
+    for name, z in (("cumulative-sums-forward", forward), ("cumulative-sums-backward", backward)):
         p = _cusum_p(z, n)
         out.append(TestResult(name, float(z), p, {"mode": name.rsplit("-", 1)[1]}))
     return out[0], out[1]
@@ -332,8 +339,9 @@ def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
     # Wraparound pattern counts: entry i counts the (m-i)-bit patterns,
     # for i = 0..m-1.  The sequence is extended by its own first m-1 bits
     # so every position starts a pattern, and each position's m-bit
-    # pattern is built by m shift-or steps on a uint32 index (m <= 32;
-    # longer patterns would need 2^33 counters).  The (k-1)-bit pattern
+    # pattern is built by m shift-or steps on a uint32 index.  The callers
+    # require n >= 2^(m-1), so the table holds at most 2n counters and m
+    # stays <= 32 for any input below 2^32 bits.  The (k-1)-bit pattern
     # at a position is the prefix of its k-bit pattern, so the shorter
     # counts are folds of the longer ones, exact in integers.
     n = b.size
@@ -357,12 +365,14 @@ def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestRe
 
     Returns the two standard statistics: first difference
     nabla psi2 = psi2(m) - psi2(m-1) with P-value Q(2^(m-2), nabla/2),
-    and second difference with P-value Q(2^(m-3), nabla2/2).
+    and second difference with P-value Q(2^(m-3), nabla2/2).  Relaxed
+    mode still needs n >= 2^(m-1), so the 2^m pattern counters never
+    outnumber 2n.
     """
     b = require_bits(bits)
     n = b.size
     require_int(m, "serial: pattern length m", 2)
-    _require_length(n, max(100, 1 << (m + 3)), max(2, m), relaxed, "serial")
+    _require_length(n, max(100, 1 << (m + 3)), 1 << (m - 1), relaxed, "serial")
     counts = _pattern_counts(b, m)
     psi_m = _psi_sq(counts[0], n)
     psi_m1 = _psi_sq(counts[1], n)
@@ -382,12 +392,13 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
 
     chi2 = 2n (ln 2 - ApEn(m)) with P-value Q(2^(m-1), chi2/2), where
     ApEn(m) = phi(m) - phi(m+1) and phi sums p*ln(p) over wraparound
-    pattern proportions.
+    pattern proportions.  Relaxed mode still needs n >= 2^m, so the
+    2^(m+1) pattern counters never outnumber 2n.
     """
     b = require_bits(bits)
     n = b.size
     require_int(m, "approximate-entropy: pattern length m", 1)
-    _require_length(n, max(100, 1 << (m + 6)), max(2, m + 1), relaxed, "approximate-entropy")
+    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
 
     def phi(counts: np.ndarray) -> float:
         pos = counts[counts > 0] / n
@@ -412,7 +423,7 @@ def p_uniformity(p_values, min_count: int = 55) -> float:
     ps = np.asarray(list(p_values), dtype=np.float64)
     if ps.size == 0:
         raise ValueError("p_uniformity: empty P-value collection")
-    if np.any((ps < 0.0) | (ps > 1.0)):
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also rejects NaN
         raise ValueError("p_uniformity: P-values must lie in [0,1]")
     if min_count and ps.size < min_count:
         warnings.warn(

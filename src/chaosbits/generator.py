@@ -377,7 +377,6 @@ class ChaoticBitGenerator:
         self._kernel = None
         if driver is None and n <= 64 and config.m_set[-1] < 1 << 63:
             self._kernel = _blockloop.load()
-        if self._kernel is not None:
             self._gaps = np.array(config.m_set, dtype=np.int64)
             self._kernel_state = _blockloop.KernelState(
                 n=n, k=self._gaps.size, gaps=self._gaps.ctypes.data
@@ -414,8 +413,9 @@ class ChaoticBitGenerator:
 
         The driver state is the logistic y, or the transcript's key when
         a transcript drives the generator.  Excludes emission
-        bookkeeping; two generators with equal keys and no pending
-        initial emission produce identical futures under next_block.
+        bookkeeping; two generators with equal keys, no pending initial
+        emission and no buffered bits produce identical futures under
+        next_block.
         """
         if self._transcript is None:
             return (self._mask, self._y)
@@ -423,16 +423,19 @@ class ChaoticBitGenerator:
 
     # -- block production ---------------------------------------------
 
-    def _advance_masks(self, nblocks: int, out: np.ndarray | None = None) -> None:
-        """Run nblocks driven blocks, writing the emitted cell masks to out[:nblocks].
+    def _advance(self, nblocks: int, out: np.ndarray | None = None, key: tuple | None = None) -> int:
+        """Run up to nblocks driven blocks and return how many completed.
 
-        This loop is the only Python code that turns driver samples into
-        cell masks, and the reference for the compiled loop, which runs
-        in its place when the generator has one (see ``backend``).
-        Without a transcript it runs the logistic recurrence inline,
-        with the same arithmetic as logistic_step, m_from_y,
-        strategy_from_y and chaotic_step.  out, when given, is a uint64
-        array for n_cells <= 64 and an object array above.  On an error
+        The block loop: the only code that turns driver samples into
+        cell masks.  The compiled loop (``chaosbits_advance`` in
+        _blockloop.c) runs in place of the Python body when the
+        generator has one (see ``backend``); the Python body is its
+        reference.  Without a transcript it runs the logistic recurrence
+        inline, with the same arithmetic as logistic_step, m_from_y,
+        strategy_from_y and chaotic_step.  out, when given, receives the
+        emitted masks: a uint64 array for n_cells <= 64 and an object
+        array above.  The loop stops after the first block whose
+        state_key() equals key (never, when key is None).  On an error
         mid-block (a degenerate orbit, an exhausted transcript or an
         out-of-range strategy) the generator is left in the state
         reached at the failure point, out holds the blocks completed
@@ -440,15 +443,28 @@ class ChaoticBitGenerator:
         propagates; a failing logistic sample is never consumed.
         """
         if self._kernel is not None:
-            self._run_kernel(nblocks, out, None)
-            return
+            st = self._kernel_state
+            st.y = self._y
+            st.mask = self._mask
+            st.has_key = key is not None
+            if key is not None:
+                st.key_mask, st.key_y = key
+            done = self._kernel(st, nblocks, None if out is None else out.ctypes.data)
+            self._y = st.y
+            self._mask = st.mask
+            self._iter_count += st.iters
+            self._blocks_emitted += done
+            if st.dead:
+                raise _dead(st.y)
+            return done
+        # No mask equals -1, so without a key the loop never stops early.
+        key_mask, key_driver = (-1, None) if key is None else key
         transcript = self._transcript
         n = self._n
         y = self._y
         mask = self._mask
         iters = 0
-        masks: list[int] = []
-        append = masks.append
+        done = 0
         try:
             if transcript is None:
                 flips = self._flips
@@ -470,66 +486,40 @@ class ChaoticBitGenerator:
                         y = nxt
                         mask ^= flips[r]
                     iters += len(gap)
-                    append(mask)
+                    if out is not None:
+                        out[done] = mask
+                    done += 1
+                    if mask == key_mask and y == key_driver:
+                        break
             else:
                 for _ in range(nblocks):
                     for _ in range(transcript.next_gap()):
                         mask ^= 1 << (n - transcript.next_strategy(n))
                         iters += 1
-                    append(mask)
+                    if out is not None:
+                        out[done] = mask
+                    done += 1
+                    if mask == key_mask and transcript.key() == key_driver:
+                        break
         finally:
             self._y = y
             self._mask = mask
             self._iter_count += iters
-            self._blocks_emitted += len(masks)
-            if out is not None and masks:
-                out[: len(masks)] = masks
-
-    def _run_kernel(self, nblocks: int, out: np.ndarray | None, key: tuple | None) -> int:
-        """One call of the compiled loop: _advance_masks' logistic branch,
-        stopping early after a block whose state_key() equals key."""
-        st = self._kernel_state
-        st.y = self._y
-        st.mask = self._mask
-        st.has_key = key is not None
-        if key is not None:
-            st.key_mask, st.key_y = key
-        done = self._kernel(st, nblocks, None if out is None else out.ctypes.data)
-        self._y = st.y
-        self._mask = st.mask
-        self._iter_count += st.iters
-        self._blocks_emitted += done
-        if st.dead:
-            raise _dead(st.y)
+            self._blocks_emitted += done
         return done
 
-    def _advance_until(self, limit: int, key: tuple | None) -> int:
-        """Advance up to limit driven blocks, stopping after the first
-        whose state_key() equals key (never, when key is None); return
-        the number of blocks advanced.  Errors are as in _advance_masks."""
-        if self._kernel is not None:
-            return self._run_kernel(limit, None, key)
-        if key is None:
-            self._advance_masks(limit)
-            return limit
-        for done in range(1, limit + 1):
-            self._advance_masks(1)
-            if self.state_key() == key:
-                return done
-        return limit
-
     def next_block(self) -> tuple[int, ...]:
-        """Emit the next block, components in order 1..n_cells.
+        """The next block, components in order 1..n_cells.
 
-        When emit_initial is set, the first emission is the seed vector
-        itself and consumes no driver samples.
+        This is the next n_cells bits of the bits() stream, so calls to
+        the two interleave into one stream.  When emit_initial is set,
+        the first block is the seed vector itself and consumes no driver
+        samples.  While bits() holds part of a block, the next n_cells
+        bits would straddle two blocks, and ValueError is raised.
         """
-        if self._initial_pending:
-            self._initial_pending = False
-            self._blocks_emitted += 1
-        else:
-            self._advance_masks(1)
-        return self._mask_tuple(self._mask)
+        if self._pending_bits.size % self._n:
+            raise ValueError("next_block: bits() holds part of a block; read the rest with bits() first")
+        return tuple(self.bits(self._n).tolist())
 
     def bits(self, count: int) -> np.ndarray:
         """The next ``count`` output bits as a numpy uint8 array.
@@ -559,7 +549,7 @@ class ChaoticBitGenerator:
                 self._blocks_emitted += 1
                 masks[0] = self._mask
                 head = 1
-            self._advance_masks(masks.size - head, masks[head:])
+            self._advance(masks.size - head, masks[head:])
         except BaseException:
             done = masks[: self._blocks_emitted - first]
             self._pending_bits = np.concatenate((out[:pos], _masks_to_bit_array(done, n)))

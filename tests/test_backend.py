@@ -1,12 +1,13 @@
 """The compiled block loop against the Python block loop it replaces.
 
-The Python loop in ChaoticBitGenerator._advance_masks is the reference.
+The Python body of ChaoticBitGenerator._advance is the reference.
 Each test runs the same work twice: once as the package runs it, on the
 compiled loop when gcc can build it, and once with the kernel handle
 patched away, which leaves every generator on the Python loop.
 """
 
 import shutil
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -192,23 +193,73 @@ def test_next_block_failure_matches_python_loop(cfg):
     assert blocks(cfg) == python_loop(blocks, cfg)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 300), st.integers(0, 300), st.sampled_from([(5, (14, 15)), (8, (1,)), (64, (1, 3))]))
-def test_advance_until_stops_at_key_like_python_loop(target, limit, shape):
-    # The key is the state reached after target blocks, so both loops
-    # stop there when limit allows, and run out at limit otherwise.
-    cfg = GeneratorConfig(*shape, SeedSpec.from_time(484076))
-    ref = python_loop(ChaoticBitGenerator, cfg)
-    ref._advance_masks(target)
+# Generators the key stop is checked on: the compiled loop's shapes, a
+# state too wide for it, and a cycling transcript whose state orbit has
+# period 16, so its keys recur.
+KEY_STOP_GENERATORS = {
+    "n5": lambda: ChaoticBitGenerator(GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))),
+    "n8": lambda: ChaoticBitGenerator(GeneratorConfig(8, (1,), SeedSpec.from_time(484076))),
+    "n64": lambda: ChaoticBitGenerator(GeneratorConfig(64, (1, 3), SeedSpec.from_time(484076))),
+    "n65": lambda: ChaoticBitGenerator(GeneratorConfig(65, (2,), SeedSpec.from_time(903211))),
+    "transcript": lambda: ChaoticBitGenerator(
+        GeneratorConfig(4, (1, 2), SeedSpec.explicit((0, 0, 0, 0), 0.1)),
+        driver=TranscriptDriver((1, 2), (1, 2, 3, 4), cycle=True),
+    ),
+}
+
+
+def advance_to_key_block_by_block(gen, limit, key):
+    """The rule _advance's key stop follows: one block at a time, comparing
+    state_key() with key after each; the number of blocks advanced."""
+    for done in range(1, limit + 1):
+        gen._advance(1)
+        if gen.state_key() == key:
+            return done
+    return limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 300), st.sampled_from(sorted(KEY_STOP_GENERATORS)))
+def test_advance_stops_at_key_like_python_loop(target, limit, name):
+    # The key is the state reached after target blocks.  Both loops stop
+    # where the block-by-block rule does: on a logistic orbit at target
+    # when limit allows and at limit otherwise (the seed state, target 0,
+    # never recurs), and under the transcript at the first block that
+    # reaches the key.
+    make = KEY_STOP_GENERATORS[name]
+    ref = python_loop(make)
+    ref._advance(target)
     key = ref.state_key()
 
-    def advance(cfg):
-        gen = ChaoticBitGenerator(cfg)
-        return gen._advance_until(limit, key), gen.state
+    def run(advance):
+        gen = make()
+        done = advance(gen, limit, key)
+        return done, gen.state_key(), gen.state.iter_count, gen.state.blocks_emitted
 
-    compiled = advance(cfg)
-    assert compiled == python_loop(advance, cfg)
-    assert compiled[0] == (min(target, limit) if target else limit)
+    def bulk(gen, limit, key):
+        return gen._advance(limit, key=key)
+
+    compiled = run(bulk)
+    assert compiled == python_loop(run, bulk) == python_loop(run, advance_to_key_block_by_block)
+    if name != "transcript":
+        assert compiled[0] == (min(target, limit) if target else limit)
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_advance_without_out_keeps_no_masks(backend):
+    # Without out, the loop counts blocks: 50,000 of them on 64 cells
+    # leave no per-block allocation behind (a list of their masks would
+    # take about 2 MiB).
+    cfg = GeneratorConfig(64, (1,), SeedSpec.from_time(903211))
+    gen = ChaoticBitGenerator(cfg) if backend == "default" else python_loop(ChaoticBitGenerator, cfg)
+    tracemalloc.start()
+    try:
+        assert gen._advance(50_000) == 50_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert gen.state.blocks_emitted == 50_000
 
 
 # y0 reaches, after 108,847 samples, a binary64 logistic cycle of 420,909

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -224,6 +224,23 @@ def test_cusum_forward_backward_differ_on_asymmetric_input():
     assert (fwd.statistic, fwd.p_value) != (bwd.statistic, bwd.p_value)
 
 
+def reference_cusum_z(b):
+    # The two walks as the standard states them: the forward walk and the
+    # walk over the reversed sequence, each its own cumulative sum.
+    x = 2 * np.asarray(b, dtype=np.int64) - 1
+    return tuple(int(np.max(np.abs(np.cumsum(seq)))) for seq in (x, x[::-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
+@example([0])
+@example([1, 0])
+@example([0, 1, 1])
+def test_cusum_one_walk_matches_two_walks(b):
+    fwd, bwd = cumulative_sums(b, relaxed=True)
+    assert (fwd.statistic, bwd.statistic) == reference_cusum_z(b)
+
+
 # -- serial ---------------------------------------------------------------
 
 
@@ -257,6 +274,15 @@ def test_serial_gates():
     serial(random_bits(100, 4), 5, relaxed=True)
 
 
+def test_serial_relaxed_needs_half_the_pattern_table():
+    # Relaxed mode still needs n >= 2^(m-1): at most 2n counters.
+    serial(random_bits(256, 4), 9, relaxed=True)
+    with pytest.raises(ValueError, match="minimum 256"):
+        serial(random_bits(255, 4), 9, relaxed=True)
+    with pytest.raises(ValueError, match="minimum 17592186044416"):
+        serial(random_bits(200, 4), 45, relaxed=True)  # not a 2^45-counter table
+
+
 # -- approximate entropy ------------------------------------------------------
 
 
@@ -284,6 +310,15 @@ def test_apen_gates():
         approximate_entropy(random_bits(100, 5), 0, relaxed=True)
     with pytest.raises(ValueError):
         approximate_entropy(random_bits(1000, 5), 10)  # needs n >= 2^16 strict
+
+
+def test_apen_relaxed_needs_half_the_pattern_table():
+    # The (m+1)-bit table: relaxed mode still needs n >= 2^m.
+    approximate_entropy(random_bits(256, 5), 8, relaxed=True)
+    with pytest.raises(ValueError, match="minimum 256"):
+        approximate_entropy(random_bits(255, 5), 8, relaxed=True)
+    with pytest.raises(ValueError, match="minimum 35184372088832"):
+        approximate_entropy(random_bits(200, 5), 45, relaxed=True)
 
 
 # -- shared pattern counts ----------------------------------------------------
@@ -369,6 +404,13 @@ def test_p_uniformity_validation_and_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p_uniformity([0.5] * 55)  # no warning at the recommended count
+
+
+def test_p_uniformity_rejects_nan():
+    with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+        p_uniformity([float("nan")] * 60)
+    with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+        p_uniformity([0.5] * 59 + [float("nan")])
 
 
 def test_p_uniformity_threshold_constant():

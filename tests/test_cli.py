@@ -352,6 +352,16 @@ def test_battery_single_sequence_warns(capsys):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("flag", ["--serial-m", "--apen-m"])
+def test_battery_pattern_table_larger_than_input_is_a_usage_error(flag, capsys):
+    # A 2^45-entry pattern table for 200 bits is refused before it is allocated.
+    code = main(["test", "--scheme", "scheme-6", "--seed", "484076", "--relaxed",
+                 "--sequences", "1", "--length", "200", "--block-len", "20", flag, "45"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 # -- analyze ---------------------------------------------------------------------------
 
 

@@ -314,6 +314,30 @@ def test_bits_match_block_concatenation():
     assert generate_bits(cfg, 20).tolist() == concat
 
 
+def test_next_block_continues_the_bits_stream():
+    # next_block() is the next n_cells bits of the bits() stream, on
+    # either side of the seed block: 01100 | 01010 | 01100 | 11101 | ...
+    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
+    stream = "".join(map(str, generate_bits(cfg, 30)))
+    gen = ChaoticBitGenerator(cfg)
+    assert "".join(map(str, gen.bits(3))) == stream[:3]
+    with pytest.raises(ValueError, match="part"):
+        gen.next_block()  # would straddle blocks 0 and 1
+    assert gen.state.blocks_emitted == 1  # the refused call drove nothing
+    parts = [gen.bits(2), gen.next_block(), gen.bits(10), gen.next_block()]
+    assert "".join("".join(map(str, p)) for p in parts) == stream[3:25]
+
+
+def test_next_block_reads_blocks_a_failed_bits_call_buffered():
+    # The failing bits(8) call completes the seed block 10 and blocks 00
+    # and 01 before strategy 5 fails; next_block() returns them in order.
+    cfg = GeneratorConfig(2, (1,), SeedSpec.explicit((1, 0), 0.1))
+    gen = ChaoticBitGenerator(cfg, driver=TranscriptDriver((1,) * 5, (1, 2, 5, 1, 2)))
+    with pytest.raises(ValueError, match="out of range"):
+        gen.bits(8)
+    assert [gen.next_block() for _ in range(4)] == [(1, 0), (0, 0), (0, 1), (1, 1)]
+
+
 # n_cells > 64 takes the per-mask expansion branch of the bit packing.
 WIDE_CONFIG = GeneratorConfig(70, (2, 3), SeedSpec.from_time(903211))
 
