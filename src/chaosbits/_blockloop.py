@@ -5,10 +5,12 @@
 name keyed by a hash of the source, the flags and the machine type, and
 loads it through ctypes.  A build is written to a temporary name and
 renamed into place, so a concurrent process never loads a half-written
-library, and a new build deletes the other ``blockloop-*.so`` files
-there.  Without ``gcc`` on PATH `load` returns None, and when the
-build or the load fails it warns (RuntimeWarning) and returns None; the
-generator then runs its Python block loop.
+library.  Libraries are never deleted: each source, flag set and
+machine type keeps its own, so checkouts of different sources that
+share one cache never rebuild each other's.  Without ``gcc`` on PATH
+`load` returns None, and when the build or the load fails it warns
+(RuntimeWarning) and returns None; the generator then runs its Python
+block loop.
 """
 
 from __future__ import annotations
@@ -65,17 +67,6 @@ def _build(gcc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _prune(keep: Path) -> None:
-    # The other libraries come from another source, flags or machine; a
-    # process that still needs one rebuilds it.
-    for old in keep.parent.glob("blockloop-*.so"):
-        if old != keep:
-            try:
-                old.unlink()
-            except OSError:
-                pass
-
-
 @functools.cache
 def load():
     """The ctypes function chaosbits_advance, or None when it cannot be built.
@@ -91,7 +82,6 @@ def load():
         target = _cache_dir() / f"blockloop-{hashlib.sha256(key).hexdigest()[:16]}.so"
         if not target.exists():
             _build(gcc, target)
-            _prune(target)
         fn = ctypes.CDLL(str(target)).chaosbits_advance
     except subprocess.CalledProcessError as exc:
         reason = f"building {_SOURCE.name} failed:\n{exc.stderr}"

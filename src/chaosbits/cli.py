@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -63,7 +62,7 @@ from .generator import (
 __all__ = ["SCHEMES", "main"]
 
 # Bits gen generates, renders and writes at a time (before rounding to
-# whole lines and bytes), so its memory does not grow with --count.
+# whole lines or bytes), so its memory does not grow with --count.
 GEN_CHUNK_BITS = 1 << 20
 
 
@@ -164,8 +163,9 @@ def cmd_gen(args) -> int:
     sys.stderr.write(config_to_text(config))
     gen = ChaoticBitGenerator(config, driver=driver)
     ascii_out = args.format == "ascii"
-    # Whole bytes and whole lines per chunk, so each chunk renders alone.
-    step = math.lcm(8, args.wrap or 1)
+    # Whole lines (ASCII) or whole bytes (raw) per chunk, so each chunk
+    # renders alone; raw output ignores --wrap.
+    step = (args.wrap or 1) if ascii_out else 8
     chunk = max(GEN_CHUNK_BITS // step, 1) * step
     with _open_output(args.out, binary=not ascii_out) as fh:
         for start in range(0, args.count, chunk):

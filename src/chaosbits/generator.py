@@ -526,38 +526,33 @@ class ChaoticBitGenerator:
 
         Bit k of a fresh generator equals component (k mod n_cells)+1
         of block floor(k / n_cells); successive calls continue the
-        stream, buffering any partially consumed block.  If the driver
-        fails, the bits this call produced stay buffered for the next
-        call and the error propagates, so the stream has no hole.
+        stream.  The stream is buffered: a call runs the blocks the
+        buffer lacks, appends every block it completed, then hands out
+        the first ``count`` bits.  If the driver fails, the completed
+        blocks stay buffered for the next call and the error
+        propagates, so the stream has no hole.
         """
         if count < 0:
             raise ValueError(f"bits: count must be non-negative, got {count}")
         n = self._n
-        out = np.empty(count, dtype=np.uint8)
-        pend = self._pending_bits
-        pos = min(count, pend.size)
-        out[:pos] = pend[:pos]
-        self._pending_bits = pend[pos:]
-        if pos == count:
-            return out
-        masks = np.empty((count - pos + n - 1) // n, dtype=np.uint64 if n <= 64 else object)
-        first = self._blocks_emitted
-        try:
-            head = 0
-            if self._initial_pending:
-                self._initial_pending = False
-                self._blocks_emitted += 1
-                masks[0] = self._mask
-                head = 1
-            self._advance(masks.size - head, masks[head:])
-        except BaseException:
-            done = masks[: self._blocks_emitted - first]
-            self._pending_bits = np.concatenate((out[:pos], _masks_to_bit_array(done, n)))
-            raise
-        fresh = _masks_to_bit_array(masks, n)
-        out[pos:] = fresh[: count - pos]
-        self._pending_bits = fresh[count - pos :].copy()
-        return out
+        missing = count - self._pending_bits.size
+        if missing > 0:
+            masks = np.empty(-(-missing // n), dtype=np.uint64 if n <= 64 else object)
+            first = self._blocks_emitted
+            try:
+                head = 0
+                if self._initial_pending:
+                    self._initial_pending = False
+                    self._blocks_emitted += 1
+                    masks[0] = self._mask
+                    head = 1
+                self._advance(masks.size - head, masks[head:])
+            finally:
+                done = _masks_to_bit_array(masks[: self._blocks_emitted - first], n)
+                self._pending_bits = np.concatenate((self._pending_bits, done))
+        buffer = self._pending_bits
+        self._pending_bits = buffer[count:]
+        return buffer[:count]
 
 
 def _masks_to_bit_array(masks: np.ndarray, n_cells: int) -> np.ndarray:

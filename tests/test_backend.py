@@ -61,18 +61,28 @@ def test_build_into_fresh_cache_leaves_one_library(tmp_path, monkeypatch):
         assert fn is None
 
 
-def test_build_from_changed_source_prunes_the_old_library(tmp_path, monkeypatch):
+def test_builds_from_two_sources_share_one_cache(tmp_path, monkeypatch):
+    # Two checkouts whose sources differ keep a library each, so
+    # alternating between them builds nothing after the first two loads.
     if not shutil.which("gcc"):
         pytest.skip("needs gcc to build the library")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert _blockloop.load.__wrapped__() is not None
-    first = list((tmp_path / "cache" / "chaosbits").iterdir())
+    builds = []
+    real_build = _blockloop._build
+
+    def build(gcc, target):
+        builds.append(target)
+        real_build(gcc, target)
+
+    monkeypatch.setattr(_blockloop, "_build", build)
     edited = tmp_path / "_blockloop.c"
     edited.write_text(_blockloop._SOURCE.read_text() + "/* edited */\n")
-    monkeypatch.setattr(_blockloop, "_SOURCE", edited)
-    assert _blockloop.load.__wrapped__() is not None
-    (library,) = (tmp_path / "cache" / "chaosbits").iterdir()
-    assert library.suffix == ".so" and [library] != first
+    sources = [_blockloop._SOURCE, edited]
+    for source in sources + sources:
+        monkeypatch.setattr(_blockloop, "_SOURCE", source)
+        assert _blockloop.load.__wrapped__() is not None
+    assert len(builds) == 2 and builds[0] != builds[1]
+    assert sorted((tmp_path / "cache" / "chaosbits").iterdir()) == sorted(builds)
 
 
 @pytest.mark.parametrize(

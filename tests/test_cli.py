@@ -9,6 +9,7 @@ import pytest
 import chaosbits.cli
 from chaosbits import (
     SCHEMES,
+    ChaoticBitGenerator,
     GeneratorConfig,
     SeedSpec,
     TranscriptDriver,
@@ -140,16 +141,27 @@ def test_gen_seed_from_time_prints_resolved_seed(tmp_path, capsys):
         ("ascii", 203, 50),  # a wrap longer than the chunk
         ("ascii", 200, 5),  # ends on a chunk boundary
         ("raw", 203, 0),
+        ("raw", 203, 50),  # raw output ignores --wrap, also in its chunks
         ("ascii", 0, 0),
         ("raw", 0, 0),
     ],
 )
 def test_gen_streamed_chunks_equal_one_shot(tmp_path, monkeypatch, fmt, count, wrap):
     monkeypatch.setattr(chaosbits.cli, "GEN_CHUNK_BITS", 24)
+    requests = []
+    real_bits = ChaoticBitGenerator.bits
+
+    def spy(self, k):
+        requests.append(k)
+        return real_bits(self, k)
+
+    monkeypatch.setattr(ChaoticBitGenerator, "bits", spy)
     out = tmp_path / "bits.out"
     code = main(["gen", "--scheme", "scheme-6", "--seed", "484076", "--count", str(count),
                  "--format", fmt, "--wrap", str(wrap), "--out", str(out)])
     assert code == 0
+    # A chunk grows past GEN_CHUNK_BITS only to hold one whole ASCII line.
+    assert max(requests, default=0) <= (max(24, wrap) if fmt == "ascii" else 24)
     bits = generate_bits(GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076)), count)
     if fmt == "raw":
         expected = pack_bits(bits)
