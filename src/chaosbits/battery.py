@@ -232,6 +232,22 @@ _LONGEST_RUN_REGIMES = (
 )
 
 
+def _longest_runs(blocks: np.ndarray) -> np.ndarray:
+    # Longest run of ones in each row of a 0/1 array, in one pass.  Each
+    # row is padded with a zero on both sides, so in the flattened array
+    # every run begins after a 0 -> 1 step and ends before a 1 -> 0 step
+    # inside its own row; starts and ends pair up in order.
+    n_rows, width = blocks.shape
+    padded = np.zeros((n_rows, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = blocks
+    step = np.diff(padded.ravel())
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    best = np.zeros(n_rows, dtype=np.int64)
+    np.maximum.at(best, starts // (width + 2), ends - starts)
+    return best
+
+
 def longest_run(bits) -> TestResult:
     """Longest run of ones within fixed-size blocks, category chi-square.
 
@@ -247,13 +263,7 @@ def longest_run(bits) -> TestResult:
         if n >= min_n:
             break
     n_blocks = n // m_len
-    blocks = b[: n_blocks * m_len].reshape(n_blocks, m_len)
-    run = np.zeros(n_blocks, dtype=np.int64)
-    best = np.zeros(n_blocks, dtype=np.int64)
-    for j in range(m_len):
-        col = blocks[:, j]
-        run = (run + 1) * col
-        np.maximum(best, run, out=best)
+    best = _longest_runs(b[: n_blocks * m_len].reshape(n_blocks, m_len))
     cats = np.clip(best - lo, 0, k)
     nu = np.bincount(cats, minlength=k + 1)
     expected = n_blocks * np.asarray(pis)
@@ -411,13 +421,16 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     return TestResult("approximate-entropy", chi2, p, {"m": m, "apen": apen})
 
 
-def p_uniformity(p_values, min_count: int = 55) -> float:
+_MIN_P_VALUES = 55
+
+
+def p_uniformity(p_values) -> float:
     """Uniformity P-value (P_T) of a collection of P-values.
 
     The values are counted into 10 equal bins over [0,1] (the top bin
     closed), chi-square against the uniform expectation is formed, and
-    P_T = Q(9/2, chi2/2) is returned.  Fewer than min_count values
-    triggers a warning: the uniformity reading is then weakly founded.
+    P_T = Q(9/2, chi2/2) is returned.  Fewer than 55 values trigger a
+    warning: the uniformity reading is then weakly founded.
     The result is invariant under permutation of the input.
     """
     ps = np.asarray(list(p_values), dtype=np.float64)
@@ -425,9 +438,9 @@ def p_uniformity(p_values, min_count: int = 55) -> float:
         raise ValueError("p_uniformity: empty P-value collection")
     if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also rejects NaN
         raise ValueError("p_uniformity: P-values must lie in [0,1]")
-    if min_count and ps.size < min_count:
+    if ps.size < _MIN_P_VALUES:
         warnings.warn(
-            f"p_uniformity: only {ps.size} P-values; at least {min_count} are recommended "
+            f"p_uniformity: only {ps.size} P-values; at least {_MIN_P_VALUES} are recommended "
             "for a meaningful uniformity reading",
             UserWarning,
             stacklevel=2,
@@ -444,7 +457,6 @@ class BatteryEntry:
     """Aggregated outcome of one test row across all sequences."""
 
     test_name: str
-    params: dict
     results: tuple[TestResult, ...]
     p_t: float
     passed: bool
@@ -524,11 +536,7 @@ def run_battery(
             "(the schedule derives sequence i from master+i)"
         )
 
-    report_warnings: list[str] = []
-    if relaxed:
-        report_warnings.append("relaxed mode: recommended minimum lengths are not enforced")
-
-    per_row: dict[str, list[TestResult]] = {}
+    rows: dict[str, list[TestResult]] = {}
     for i in range(n_sequences):
         if config.seed.t is not None:
             cfg_i = replace(config, seed=SeedSpec.from_time(config.seed.t + i))
@@ -541,49 +549,32 @@ def run_battery(
                 f"sequence {i} (seed schedule master+{i}) died: {exc}"
             ) from exc
         for result in _run_all_tests(seq, relaxed, block_len, serial_m, apen_m):
-            per_row.setdefault(result.test_name, []).append(result)
+            rows.setdefault(result.test_name, []).append(result)
 
-    entries: list[BatteryEntry] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for name in sorted(per_row):
-            results = tuple(per_row[name])
-            p_t = p_uniformity([r.p_value for r in results])
-            entries.append(
-                BatteryEntry(
-                    test_name=name,
-                    params=dict(results[0].params),
-                    results=results,
-                    p_t=p_t,
-                    passed=p_t >= P_T_THRESHOLD,
-                )
-            )
-    for w in caught:
-        msg = str(w.message)
-        if msg not in report_warnings:
-            report_warnings.append(msg)
-
-    by_name = {e.test_name: e for e in entries}
+        p_t = {name: p_uniformity([r.p_value for r in results]) for name, results in rows.items()}
     for mean_name, components in _MEAN_ROWS.items():
-        p_t = sum(by_name[c].p_t for c in components) / len(components)
-        entries.append(
-            BatteryEntry(
-                test_name=mean_name,
-                params={"mean_of": ",".join(components)},
-                results=(),
-                p_t=p_t,
-                passed=p_t >= P_T_THRESHOLD,
-                informational=True,
-            )
+        p_t[mean_name] = sum(p_t[c] for c in components) / len(components)
+    entries = tuple(
+        BatteryEntry(
+            test_name=name,
+            results=tuple(rows.get(name, ())),
+            p_t=p,
+            passed=p >= P_T_THRESHOLD,
+            informational=name in _MEAN_ROWS,
         )
-    entries.sort(key=lambda e: e.test_name)
+        for name, p in sorted(p_t.items())
+    )
+    notes = ["relaxed mode: recommended minimum lengths are not enforced"] if relaxed else []
+    notes += [str(w.message) for w in caught]
 
     return BatteryReport(
-        entries=tuple(entries),
+        entries=entries,
         n_sequences=n_sequences,
         seq_len=seq_len,
         relaxed=relaxed,
-        warnings=tuple(report_warnings),
+        warnings=tuple(dict.fromkeys(notes)),
         config_text=config_to_text(config),
     )
 

@@ -152,8 +152,7 @@ def keystream_bytes(config: GeneratorConfig, count: int) -> bytes:
     Packs 8*count generated bits with the first-emitted bit in the most
     significant position of byte 0.
     """
-    if count < 0:
-        raise ValueError(f"keystream_bytes: count must be non-negative, got {count}")
+    require_int(count, "keystream_bytes: count", 0)
     if count == 0:
         return b""
     return pack_bits(ChaoticBitGenerator(config).bits(8 * count))

@@ -532,8 +532,7 @@ class ChaoticBitGenerator:
         blocks stay buffered for the next call and the error
         propagates, so the stream has no hole.
         """
-        if count < 0:
-            raise ValueError(f"bits: count must be non-negative, got {count}")
+        require_int(count, "bits: count", 0)
         n = self._n
         missing = count - self._pending_bits.size
         if missing > 0:

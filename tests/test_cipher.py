@@ -133,6 +133,15 @@ def test_keystream_zero_count_and_validation():
         keystream_bytes(scheme6_config(), -1)
 
 
+@pytest.mark.parametrize("count", [True, 2.5, -1])
+def test_bit_and_byte_counts_must_be_non_negative_ints(count):
+    cfg = scheme6_config()
+    with pytest.raises(ValueError, match=r"bits: count must be an integer >= 0"):
+        ChaoticBitGenerator(cfg).bits(count)
+    with pytest.raises(ValueError, match=r"keystream_bytes: count must be an integer >= 0"):
+        keystream_bytes(cfg, count)
+
+
 def test_keystream_matches_packed_bits():
     cfg = scheme6_config()
     ks = keystream_bytes(cfg, 50)

@@ -493,6 +493,18 @@ def test_failed_bits_call_keeps_produced_bits():
     assert "".join(map(str, gen.bits(7))) == "0000111"
 
 
+def test_scheme6_seed_dies_inside_a_megabit():
+    # Seed 484108 reaches the logistic fixed point y = 0 after 92,241
+    # scheme-6 blocks (461,205 bits), so a 1e6-bit request fails; the
+    # bits made before the death stay buffered and equal the stream.
+    cfg = GeneratorConfig(*SCHEMES["scheme-6"], SeedSpec.from_time(484108))
+    gen = ChaoticBitGenerator(cfg)
+    with pytest.raises(DegenerateSeedError):
+        gen.bits(10**6)
+    assert (gen.state.blocks_emitted, gen.state.y) == (92_241, 0.0)
+    np.testing.assert_array_equal(gen.bits(461_205), generate_bits(cfg, 461_205))
+
+
 def test_state_key_determines_future():
     cfg = GeneratorConfig(5, (4, 5), SeedSpec.from_time(484076), emit_initial=False)
     a = ChaoticBitGenerator(cfg)
