@@ -20,20 +20,20 @@ typedef struct {
     int64_t n;           /* cells */
     int64_t k;           /* gap alphabet size */
     const int64_t *gaps; /* the gap alphabet, sorted ascending */
-    int64_t has_key;     /* stop at the state (key_mask, key_y)? */
-    uint64_t key_mask;
+    uint64_t key_mask;   /* the state to stop at; a NaN key_y never matches */
     double key_y;
 } chaosbits_state;
 
 /* Run up to nblocks driven blocks from st, writing each emitted mask to
- * out[b] unless out is NULL.  With st->has_key, stop after the first
- * block whose state (mask, y) equals (key_mask, key_y).  Returns the
- * blocks completed.  On a fixed point, st is left at the failing sample (not
- * consumed) with the updates of the unfinished block applied, and dead
- * is set. */
+ * out[b] unless out is NULL.  Stop after the first block whose state
+ * (mask, y) equals (key_mask, key_y); without -ffast-math a NaN key_y
+ * compares unequal to every y, so such a key never stops the loop.
+ * Returns the blocks completed.  On a fixed point, st is left at the
+ * failing sample (not consumed) with the updates of the unfinished block
+ * applied, and dead is set. */
 int64_t chaosbits_advance(chaosbits_state *st, int64_t nblocks, uint64_t *out)
 {
-    const int64_t n = st->n, k = st->k, *gaps = st->gaps, has_key = st->has_key;
+    const int64_t n = st->n, k = st->k, *gaps = st->gaps;
     const uint64_t key_mask = st->key_mask;
     const double key_y = st->key_y;
     double y = st->y, nxt;
@@ -65,7 +65,7 @@ int64_t chaosbits_advance(chaosbits_state *st, int64_t nblocks, uint64_t *out)
             break;
         if (out)
             out[b] = mask;
-        if (has_key && mask == key_mask && y == key_y) {
+        if (mask == key_mask && y == key_y) {
             b++;
             break;
         }

@@ -28,7 +28,8 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_blockloop.c")
 # -ffp-contract=off keeps gcc from fusing a multiply and an add into one
-# FMA, whose single rounding would change the orbit.
+# FMA, whose single rounding would change the orbit.  No -ffast-math: the
+# loop's stop test relies on a NaN key comparing unequal.
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -44,7 +45,6 @@ class KernelState(ctypes.Structure):
         ("n", ctypes.c_int64),
         ("k", ctypes.c_int64),
         ("gaps", ctypes.c_void_p),
-        ("has_key", ctypes.c_int64),
         ("key_mask", ctypes.c_uint64),
         ("key_y", ctypes.c_double),
     ]

@@ -117,7 +117,7 @@ def autocorrelation(bits, max_lag: int) -> CorrelationSeries:
     """
     x = 2.0 * require_bits(bits) - 1.0
     n = x.size
-    require_int(max_lag, "autocorrelation: max_lag", 1)
+    max_lag = require_int(max_lag, "autocorrelation: max_lag", 1)
     if n <= max_lag:
         raise ValueError(f"autocorrelation: sequence length {n} must exceed max_lag {max_lag}")
     a = x - x.mean()
@@ -145,7 +145,7 @@ def cross_correlation(bits_a, bits_b, max_lag: int) -> CorrelationSeries:
     if xa.size != xb.size:
         raise ValueError(f"cross_correlation: lengths differ ({xa.size} vs {xb.size})")
     n = xa.size
-    require_int(max_lag, "cross_correlation: max_lag", 0)
+    max_lag = require_int(max_lag, "cross_correlation: max_lag", 0)
     if n <= max_lag:
         raise ValueError(f"cross_correlation: sequence length {n} must exceed max_lag {max_lag}")
     a = xa - xa.mean()
@@ -213,7 +213,7 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
     ``budget`` state steps a BudgetExceeded result is returned rather
     than an error or a guess.
     """
-    require_int(budget, "detect_cycle: budget", 1)
+    budget = require_int(budget, "detect_cycle: budget", 1)
 
     def fresh() -> ChaoticBitGenerator:
         driver = None
@@ -287,8 +287,8 @@ def ideal_period(n_m: int, n_s: int) -> int:
     and applying the same mask again cancels it.  Equality is the
     ideal, non-degenerate case; divisibility is what is guaranteed.
     """
-    require_int(n_m, "ideal_period: n_m", 1)
-    require_int(n_s, "ideal_period: n_s", 1)
+    n_m = require_int(n_m, "ideal_period: n_m", 1)
+    n_s = require_int(n_s, "ideal_period: n_s", 1)
     return 2 * n_m * n_s
 
 
@@ -326,7 +326,7 @@ def phase_distance(
     sb = tuple(int(v) for v in s_b)
     if any(not 1 <= v <= n for v in sa + sb):
         raise ValueError(f"phase_distance: strategy values must lie in [1, {n}]")
-    require_int(prefix_k, "phase_distance: prefix_k", 0)
+    prefix_k = require_int(prefix_k, "phase_distance: prefix_k", 0)
     d_e = sum(1 for u, v in zip(ea, eb) if u != v)
     k_eff = min(len(sa), len(sb), prefix_k)
     acc = 0.0
@@ -344,6 +344,6 @@ def phase_distance_tail_bound(n_cells: int, prefix_k: int) -> float:
     Each neglected term is at most (N-1)/10^k, so the tail after K
     terms is bounded by (9/N) * (N-1) * 10^-K / 9 = ((N-1)/N) * 10^-K.
     """
-    require_int(n_cells, "phase_distance_tail_bound: n_cells", 1)
-    require_int(prefix_k, "phase_distance_tail_bound: prefix_k", 0)
+    n_cells = require_int(n_cells, "phase_distance_tail_bound: n_cells", 1)
+    prefix_k = require_int(prefix_k, "phase_distance_tail_bound: prefix_k", 0)
     return (n_cells - 1) / n_cells * 10.0 ** (-prefix_k)

@@ -185,7 +185,7 @@ def block_frequency(bits, block_len: int = 20000, relaxed: bool = False) -> Test
     """
     b = require_bits(bits)
     n = b.size
-    require_int(block_len, "block_frequency: block_len", 1)
+    block_len = require_int(block_len, "block_frequency: block_len", 1)
     if block_len < 20 and not relaxed:
         raise ValueError(
             f"block_frequency: block_len {block_len} is below the minimum 20; relaxed mode lowers it"
@@ -381,7 +381,7 @@ def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestRe
     """
     b = require_bits(bits)
     n = b.size
-    require_int(m, "serial: pattern length m", 2)
+    m = require_int(m, "serial: pattern length m", 2)
     _require_length(n, max(100, 1 << (m + 3)), 1 << (m - 1), relaxed, "serial")
     counts = _pattern_counts(b, m)
     psi_m = _psi_sq(counts[0], n)
@@ -407,7 +407,7 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     """
     b = require_bits(bits)
     n = b.size
-    require_int(m, "approximate-entropy: pattern length m", 1)
+    m = require_int(m, "approximate-entropy: pattern length m", 1)
     _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
 
     def phi(counts: np.ndarray) -> float:
@@ -528,8 +528,8 @@ def run_battery(
     sequence, since it admits no schedule.  A sequence that fails to
     generate aborts the whole batch with context.
     """
-    require_int(n_sequences, "run_battery: n_sequences", 1)
-    require_int(seq_len, "run_battery: seq_len", 1)
+    n_sequences = require_int(n_sequences, "run_battery: n_sequences", 1)
+    seq_len = require_int(seq_len, "run_battery: seq_len", 1)
     if config.seed.t is None and n_sequences > 1:
         raise ValueError(
             "run_battery: multiple sequences need a time-derived master seed "

@@ -48,8 +48,8 @@ class GrayscaleImage:
     pixels: bytes
 
     def __post_init__(self) -> None:
-        require_int(self.width, "GrayscaleImage: width", 1)
-        require_int(self.height, "GrayscaleImage: height", 1)
+        object.__setattr__(self, "width", require_int(self.width, "GrayscaleImage: width", 1))
+        object.__setattr__(self, "height", require_int(self.height, "GrayscaleImage: height", 1))
         object.__setattr__(self, "pixels", bytes(self.pixels))
         if len(self.pixels) != self.width * self.height:
             raise ValueError(
@@ -152,7 +152,7 @@ def keystream_bytes(config: GeneratorConfig, count: int) -> bytes:
     Packs 8*count generated bits with the first-emitted bit in the most
     significant position of byte 0.
     """
-    require_int(count, "keystream_bytes: count", 0)
+    count = require_int(count, "keystream_bytes: count", 0)
     if count == 0:
         return b""
     return pack_bits(ChaoticBitGenerator(config).bits(8 * count))

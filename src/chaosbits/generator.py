@@ -28,6 +28,7 @@ against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -78,10 +79,10 @@ class TranscriptExhausted(Exception):
 
 
 def require_int(value, name: str, minimum: int) -> int:
-    """Return value if it is an int (not a bool) >= minimum, else raise ValueError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    """Return value as an int if it is an integer >= minimum (numpy's too, a bool not), else raise ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__") or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
+    return operator.index(value)
 
 
 def require_bits(bits) -> np.ndarray:
@@ -176,7 +177,7 @@ def seed_from_time(t: int, n_cells: int) -> tuple[tuple[int, ...], float]:
     significant bit in component 1.  Degenerate y0 values are rejected
     with an error instructing a re-seed.
     """
-    require_int(t, "seed_from_time: t", 0)
+    t = require_int(t, "seed_from_time: t", 0)
     if n_cells < 2:
         raise ValueError(f"seed_from_time: n_cells must be >= 2, got {n_cells}")
     y0 = t / 10 ** len(str(t))
@@ -214,7 +215,7 @@ class SeedSpec:
         if time_form and explicit_form:
             raise ValueError("SeedSpec: give either t or (x0, y0), not both")
         if time_form:
-            require_int(self.t, "SeedSpec: t", 0)
+            object.__setattr__(self, "t", require_int(self.t, "SeedSpec: t", 0))
         else:
             if self.x0 is None or self.y0 is None:
                 raise ValueError("SeedSpec: give t, or both x0 and y0")
@@ -256,7 +257,7 @@ class GeneratorConfig:
     emit_initial: bool = True
 
     def __post_init__(self) -> None:
-        require_int(self.n_cells, "GeneratorConfig: n_cells", 2)
+        object.__setattr__(self, "n_cells", require_int(self.n_cells, "GeneratorConfig: n_cells", 2))
         m = tuple(int(v) for v in self.m_set)
         if not m:
             raise ValueError("GeneratorConfig: m_set must be non-empty")
@@ -276,7 +277,9 @@ class GeneratorState:
 
     y is the next unconsumed logistic sample (NaN under a forced
     transcript driver, which has no logistic state).  iter_count is the
-    total number of cell updates performed so far.
+    total number of cell updates performed so far.  blocks_emitted counts
+    the blocks made so far, read or still buffered; the seed block, when
+    emit_initial is set, counts from construction.
     """
 
     x: tuple[int, ...]
@@ -336,6 +339,12 @@ class TranscriptDriver:
         return ("transcript", self._gi, self._si)
 
 
+# The stop key of an _advance call without one: no state equals it, as
+# a logistic y is never NaN, a transcript key is a tuple, and NaN
+# compares unequal to everything (also in C, built without -ffast-math).
+_NO_KEY = (0, math.nan)
+
+
 class ChaoticBitGenerator:
     """Sequential block/bit emitter: one logistic orbit driving cell updates.
 
@@ -359,18 +368,14 @@ class ChaoticBitGenerator:
         # The next unconsumed logistic sample; a transcript has none.
         self._y = y0 if driver is None else math.nan
         self._n = n
-        mask = 0
-        for b in x0:
-            mask = (mask << 1) | b
-        self._mask = mask
+        cells = np.array(x0, dtype=np.uint8)
+        self._mask = int((cells + ord("0")).tobytes(), 2)
         self._iter_count = 0
-        self._blocks_emitted = 0
-        self._initial_pending = bool(config.emit_initial)
-        self._pending_bits = np.empty(0, dtype=np.uint8)
-        # Block-loop tables, built here because detect_cycle runs the
-        # loop one block per call: the mask bit strategy s flips,
-        # indexed by s - 1, and the inner-loop range of each gap.
-        self._flips = [1 << (n - 1 - r) for r in range(n)]
+        # The seed block, when emitted, is the first block of the stream buffer.
+        self._blocks_emitted = int(config.emit_initial)
+        self._pending_bits = cells if config.emit_initial else cells[:0]
+        # The inner-loop range of each gap, built here because
+        # detect_cycle runs the block loop one block per call.
         self._gap_ranges = [range(m) for m in config.m_set]
         # The compiled block loop covers the logistic driver with masks
         # of one uint64 and gaps of one int64.
@@ -413,9 +418,8 @@ class ChaoticBitGenerator:
 
         The driver state is the logistic y, or the transcript's key when
         a transcript drives the generator.  Excludes emission
-        bookkeeping; two generators with equal keys, no pending initial
-        emission and no buffered bits produce identical futures under
-        next_block.
+        bookkeeping; two generators with equal keys and equal buffered
+        bits produce identical bits() streams.
         """
         if self._transcript is None:
             return (self._mask, self._y)
@@ -435,20 +439,21 @@ class ChaoticBitGenerator:
         strategy_from_y and chaotic_step.  out, when given, receives the
         emitted masks: a uint64 array for n_cells <= 64 and an object
         array above.  The loop stops after the first block whose
-        state_key() equals key (never, when key is None).  On an error
-        mid-block (a degenerate orbit, an exhausted transcript or an
-        out-of-range strategy) the generator is left in the state
-        reached at the failure point, out holds the blocks completed
-        before it (as many as blocks_emitted grew by), and the error
-        propagates; a failing logistic sample is never consumed.
+        state_key() equals key; key None stands for _NO_KEY, which no
+        state equals.  On an error mid-block (a degenerate orbit, an
+        exhausted transcript or an out-of-range strategy) the generator
+        is left in the state reached at the failure point, out holds the
+        blocks completed before it (as many as blocks_emitted grew by),
+        and the error propagates; a failing logistic sample is never
+        consumed.
         """
+        key_mask, key_driver = _NO_KEY if key is None else key
         if self._kernel is not None:
             st = self._kernel_state
             st.y = self._y
             st.mask = self._mask
-            st.has_key = key is not None
-            if key is not None:
-                st.key_mask, st.key_y = key
+            st.key_mask = key_mask
+            st.key_y = key_driver
             done = self._kernel(st, nblocks, None if out is None else out.ctypes.data)
             self._y = st.y
             self._mask = st.mask
@@ -457,8 +462,6 @@ class ChaoticBitGenerator:
             if st.dead:
                 raise _dead(st.y)
             return done
-        # No mask equals -1, so without a key the loop never stops early.
-        key_mask, key_driver = (-1, None) if key is None else key
         transcript = self._transcript
         n = self._n
         y = self._y
@@ -467,7 +470,6 @@ class ChaoticBitGenerator:
         done = 0
         try:
             if transcript is None:
-                flips = self._flips
                 gap_ranges = self._gap_ranges
                 k = len(gap_ranges)
                 for _ in range(nblocks):
@@ -484,7 +486,7 @@ class ChaoticBitGenerator:
                             iters += j
                             raise _dead(y)
                         y = nxt
-                        mask ^= flips[r]
+                        mask ^= 1 << (n - 1 - r)
                     iters += len(gap)
                     if out is not None:
                         out[done] = mask
@@ -513,9 +515,10 @@ class ChaoticBitGenerator:
 
         This is the next n_cells bits of the bits() stream, so calls to
         the two interleave into one stream.  When emit_initial is set,
-        the first block is the seed vector itself and consumes no driver
-        samples.  While bits() holds part of a block, the next n_cells
-        bits would straddle two blocks, and ValueError is raised.
+        the first block is the seed vector itself, buffered from
+        construction, and consumes no driver samples.  While bits()
+        holds part of a block, the next n_cells bits would straddle two
+        blocks, and ValueError is raised.
         """
         if self._pending_bits.size % self._n:
             raise ValueError("next_block: bits() holds part of a block; read the rest with bits() first")
@@ -532,20 +535,14 @@ class ChaoticBitGenerator:
         blocks stay buffered for the next call and the error
         propagates, so the stream has no hole.
         """
-        require_int(count, "bits: count", 0)
+        count = require_int(count, "bits: count", 0)
         n = self._n
         missing = count - self._pending_bits.size
         if missing > 0:
             masks = np.empty(-(-missing // n), dtype=np.uint64 if n <= 64 else object)
             first = self._blocks_emitted
             try:
-                head = 0
-                if self._initial_pending:
-                    self._initial_pending = False
-                    self._blocks_emitted += 1
-                    masks[0] = self._mask
-                    head = 1
-                self._advance(masks.size - head, masks[head:])
+                self._advance(masks.size, masks)
             finally:
                 done = _masks_to_bit_array(masks[: self._blocks_emitted - first], n)
                 self._pending_bits = np.concatenate((self._pending_bits, done))

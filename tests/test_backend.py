@@ -10,6 +10,7 @@ import shutil
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,11 +256,29 @@ def test_advance_stops_at_key_like_python_loop(target, limit, name):
         assert compiled[0] == (min(target, limit) if target else limit)
 
 
+@pytest.mark.parametrize("transcript", [None, ((1,), (1, 2, 3))], ids=["logistic", "transcript"])
+def test_advance_without_key_runs_through_a_zero_mask(transcript):
+    # The first driven block clears every cell, so its mask equals the
+    # no-key sentinel's; only the sentinel's NaN driver state keeps the
+    # loop from stopping there.
+    cfg = GeneratorConfig(3, (1, 2), SeedSpec.explicit((1, 0, 0), 0.1), emit_initial=False)
+
+    def run():
+        driver = None if transcript is None else TranscriptDriver(*transcript, cycle=True)
+        gen = ChaoticBitGenerator(cfg, driver=driver)
+        masks = np.zeros(8, dtype=np.uint64)
+        return gen._advance(8, masks), masks.tolist()
+
+    done, masks = run()
+    assert done == 8 and masks[0] == 0
+    assert python_loop(run) == (done, masks)
+
+
 @pytest.mark.parametrize("backend", ["default", "python"])
 def test_advance_without_out_keeps_no_masks(backend):
     # Without out, the loop counts blocks: 50,000 of them on 64 cells
     # leave no per-block allocation behind (a list of their masks would
-    # take about 2 MiB).
+    # take about 2 MiB).  The seed block counts from construction.
     cfg = GeneratorConfig(64, (1,), SeedSpec.from_time(903211))
     gen = ChaoticBitGenerator(cfg) if backend == "default" else python_loop(ChaoticBitGenerator, cfg)
     tracemalloc.start()
@@ -269,7 +288,7 @@ def test_advance_without_out_keeps_no_masks(backend):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert gen.state.blocks_emitted == 50_000
+    assert gen.state.blocks_emitted == 50_001
 
 
 # y0 reaches, after 108,847 samples, a binary64 logistic cycle of 420,909

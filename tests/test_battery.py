@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -354,6 +355,47 @@ def test_apen_relaxed_needs_half_the_pattern_table():
         approximate_entropy(random_bits(255, 5), 8, relaxed=True)
     with pytest.raises(ValueError, match="minimum 35184372088832"):
         approximate_entropy(random_bits(200, 5), 45, relaxed=True)
+
+
+# -- SP 800-22 Rev. 1a, Appendix B ------------------------------------------
+
+
+def test_first_megabit_of_e_matches_appendix_b():
+    # The first 1e6 bits of e's binary expansion (10.1011011111...), the
+    # integer part included, against the e row of the standard's table
+    # of example results.
+    n = 10**6
+    with mpmath.workprec(n + 64):
+        e_bits = format(int(mpmath.floor(mpmath.e * 2 ** (n - 2))), "b")
+    b = np.frombuffer(e_bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    assert b.size == n and e_bits.startswith("1010110111111")
+    forward, reverse = cumulative_sums(b)
+    serial_1, serial_2 = serial(b, 16)
+    got = {
+        "monobit": frequency_monobit(b).p_value,
+        "block frequency (M=128)": block_frequency(b, 128).p_value,
+        "runs": runs_test(b).p_value,
+        "longest run": longest_run(b).p_value,
+        "spectral": spectral_dft(b).p_value,
+        "cusum forward": forward.p_value,
+        "cusum reverse": reverse.p_value,
+        "serial 1 (m=16)": serial_1.p_value,
+        "serial 2 (m=16)": serial_2.p_value,
+        "approximate entropy (m=10)": approximate_entropy(b, 10).p_value,
+    }
+    expected = {
+        "monobit": 0.953749,
+        "block frequency (M=128)": 0.211072,
+        "runs": 0.561917,
+        "longest run": 0.718945,
+        "spectral": 0.847187,
+        "cusum forward": 0.669887,
+        "cusum reverse": 0.724266,
+        "serial 1 (m=16)": 0.766182,
+        "serial 2 (m=16)": 0.462921,
+        "approximate entropy (m=10)": 0.700073,
+    }
+    assert got == pytest.approx(expected, abs=1e-6)
 
 
 # -- shared pattern counts ----------------------------------------------------

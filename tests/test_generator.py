@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chaosbits import (
     ChaoticBitGenerator,
     DegenerateSeedError,
     GeneratorConfig,
+    GrayscaleImage,
     SeedSpec,
     TranscriptDriver,
     TranscriptExhausted,
@@ -25,6 +27,7 @@ from chaosbits import (
     m_from_y,
     pack_bits,
     parse_ascii_bits,
+    run_battery,
     seed_from_time,
     strategy_from_y,
     transcript_from_text,
@@ -267,6 +270,27 @@ def test_generator_config_validation():
         GeneratorConfig(5, (4, 5), "not a seed")
 
 
+def test_numpy_integers_are_accepted_and_stored_as_int():
+    # A stored numpy integer would wrap silently in the block loop's
+    # 1 << (n - 1 - r), so every stored value is a Python int.
+    wide = GeneratorConfig(np.int64(70), (2, 3), SeedSpec(t=np.int64(903211)))
+    assert type(wide.n_cells) is int and type(wide.seed.t) is int
+    assert ChaoticBitGenerator(wide).bits(np.int64(500)).tolist() == generate_bits(
+        GeneratorConfig(70, (2, 3), SeedSpec.from_time(903211)), 500
+    ).tolist()
+    image = GrayscaleImage(np.uint8(2), np.int32(1), b"ab")
+    assert type(image.width) is int and type(image.height) is int
+    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
+    report = run_battery(cfg, np.int64(1), np.int64(2000), relaxed=True, block_len=20, serial_m=4, apen_m=3)
+    assert report == run_battery(cfg, 1, 2000, relaxed=True, block_len=20, serial_m=4, apen_m=3)
+    gen = ChaoticBitGenerator(cfg)
+    for bad in (True, np.bool_(True), 2.5, np.float64(5.0), "5", np.int64(-1)):
+        with pytest.raises(ValueError, match="bits: count must be an integer >= 0"):
+            gen.bits(bad)
+        with pytest.raises(ValueError, match="n_cells must be an integer >= 2"):
+            GeneratorConfig(bad, (1,), SeedSpec.from_time(484076))
+
+
 # -- block emission and the worked example -------------------------------
 
 
@@ -288,6 +312,32 @@ def test_table1_via_generate_bits():
     driver = TranscriptDriver(M_TRANSCRIPT, S_TRANSCRIPT)
     bits = generate_bits(cfg, 20, driver=driver)
     assert "".join(map(str, bits)) == OUTPUT_20
+
+
+@pytest.mark.parametrize("emit_initial", [True, False])
+def test_fresh_generator_counts_and_buffers_the_seed_block(emit_initial):
+    # The seed block is buffered bits from construction: it counts as
+    # emitted and is the first n_cells bits of the stream.
+    gen = table1_generator(emit_initial=emit_initial)
+    assert gen.state.blocks_emitted == int(emit_initial)
+    assert gen.state.iter_count == 0
+    first = tuple(gen.bits(5).tolist())
+    assert (first == X0) is emit_initial
+
+
+def test_wide_state_costs_linear_memory():
+    # Nothing built per cell may cost O(n) each: 20,000 cells and five
+    # blocks fit in 2 MiB, where a table of the mask bit of every cell
+    # would take ~26 MiB.
+    cfg = GeneratorConfig(20_000, (1,), SeedSpec.from_time(903211))
+    tracemalloc.start()
+    try:
+        bits = ChaoticBitGenerator(cfg).bits(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+    assert bits.size == 10**5
 
 
 def test_emit_initial_off_starts_with_first_driven_block():
