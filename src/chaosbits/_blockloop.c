@@ -8,6 +8,7 @@
  * where Python rounds twice, which would change the orbit.
  *
  * Cell masks are uint64_t, so 2 <= n <= 64; cell s (1-based) is bit n-s.
+ * Each emitted mask leaves as a row of its ceil(n/8) big-endian bytes.
  */
 
 #include <stdint.h>
@@ -25,15 +26,15 @@ typedef struct {
 } chaosbits_state;
 
 /* Run up to nblocks driven blocks from st, writing each emitted mask to
- * out[b] unless out is NULL.  Stop after the first block whose state
+ * row b of out unless out is NULL.  Stop after the first block whose state
  * (mask, y) equals (key_mask, key_y); without -ffast-math a NaN key_y
  * compares unequal to every y, so such a key never stops the loop.
  * Returns the blocks completed.  On a fixed point, st is left at the
  * failing sample (not consumed) with the updates of the unfinished block
  * applied, and dead is set. */
-int64_t chaosbits_advance(chaosbits_state *st, int64_t nblocks, uint64_t *out)
+int64_t chaosbits_advance(chaosbits_state *st, int64_t nblocks, uint8_t *out)
 {
-    const int64_t n = st->n, k = st->k, *gaps = st->gaps;
+    const int64_t n = st->n, k = st->k, *gaps = st->gaps, nbytes = (n + 7) / 8;
     const uint64_t key_mask = st->key_mask;
     const double key_y = st->key_y;
     double y = st->y, nxt;
@@ -63,8 +64,8 @@ int64_t chaosbits_advance(chaosbits_state *st, int64_t nblocks, uint64_t *out)
         iters += j;
         if (st->dead)
             break;
-        if (out)
-            out[b] = mask;
+        for (i = 0; out && i < nbytes; i++)
+            out[b * nbytes + i] = (uint8_t)(mask >> (8 * (nbytes - 1 - i)));
         if (mask == key_mask && y == key_y) {
             b++;
             break;

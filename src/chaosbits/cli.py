@@ -98,15 +98,8 @@ def _add_generator_args(p: argparse.ArgumentParser, transcript_ok: bool = False)
         )
 
 
-def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
-    transcript = None
-    if getattr(args, "transcript", None):
-        with open(args.transcript, "r", encoding="ascii") as fh:
-            transcript = transcript_from_text(fh.read())
-
-    # Each generator flag sets the config key of the same name, as text;
-    # config_from_entries rejects a key given twice and SeedSpec a mix of
-    # seed forms.
+def _flag_entries(args) -> list[tuple[str, str]]:
+    """(key, text) of each generator flag but --config, --seed-from-time; config_from_entries rejects repeats."""
     entries = []
     if args.scheme is not None:
         n_cells, m_set = SCHEMES[args.scheme]
@@ -117,7 +110,16 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
             entries.append((key, value))
     if args.no_emit_initial:
         entries.append(("emit_initial", "false"))
+    return entries
 
+
+def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
+    transcript = None
+    if getattr(args, "transcript", None):
+        with open(args.transcript, "r", encoding="ascii") as fh:
+            transcript = transcript_from_text(fh.read())
+
+    entries = _flag_entries(args)
     if args.config:
         if entries or args.seed_from_time:
             raise ValueError("--config replaces the other generator flags; do not combine them")
@@ -151,7 +153,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_pairs(path: str, header: str, pairs) -> None:
+    """Write a two-column CSV: the header line, then one line per pair of ints or floats, each as its repr."""
+    _write_text(path, header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs))
+
+
 def cmd_gen(args) -> int:
+    if args.cycle_transcript and not args.transcript:
+        raise ValueError("--cycle-transcript repeats a --transcript; give one")
     config, transcript = _resolve_config(args)
     if args.count < 0:
         raise ValueError("--count must be non-negative")
@@ -197,11 +206,13 @@ def cmd_analyze(args) -> int:
     if args.max_lag < 1:
         raise ValueError("--max-lag must be at least 1")
     if args.infile:
+        if _flag_entries(args) or args.config or args.seed_from_time or args.count is not None:
+            raise ValueError("--in reads the bits from a file; do not add generator flags or --count")
         with open(args.infile, "r", encoding="ascii") as fh:
             bits = parse_ascii_bits(fh.read())
     else:
         config, _ = _resolve_config(args)
-        bits = ChaoticBitGenerator(config).bits(args.count)
+        bits = ChaoticBitGenerator(config).bits(100000 if args.count is None else args.count)
     n = len(bits)
 
     auto = autocorrelation(bits, args.max_lag)
@@ -215,11 +226,9 @@ def cmd_analyze(args) -> int:
     rel = abs(spec.spectral_energy - spec.time_energy) / spec.time_energy
     print(f"spectrum: flatness={spec.flatness:.6g} parseval_rel_err={rel:.3g}")
     if args.acf_csv:
-        _write_text(args.acf_csv, "lag,value\n" + "".join(
-            f"{lag},{val!r}\n" for lag, val in zip(auto.lags, auto.values)))
+        _write_pairs(args.acf_csv, "lag,value", zip(auto.lags, auto.values))
     if args.spectrum_csv:
-        _write_text(args.spectrum_csv, "bin,power\n" + "".join(
-            f"{b},{p!r}\n" for b, p in zip(spec.bins, spec.power)))
+        _write_pairs(args.spectrum_csv, "bin,power", zip(spec.bins, spec.power))
     if args.cross_with:
         with open(args.cross_with, "r", encoding="ascii") as fh:
             other = parse_ascii_bits(fh.read())
@@ -228,8 +237,7 @@ def cmd_analyze(args) -> int:
         print(f"cross-correlation: max|r|={peak:.6g} over lags 0..{args.max_lag}"
               + (" (degenerate input)" if cross.degenerate else ""))
         if args.ccf_csv:
-            _write_text(args.ccf_csv, "lag,value\n" + "".join(
-                f"{lag},{val!r}\n" for lag, val in zip(cross.lags, cross.values)))
+            _write_pairs(args.ccf_csv, "lag,value", zip(cross.lags, cross.values))
     return 0
 
 
@@ -278,8 +286,7 @@ def cmd_histogram(args) -> int:
     print(f"pixels={hist.total}")
     print(f"chi_square_256={chi2!r}")
     if args.csv:
-        _write_text(args.csv, "value,count\n" + "".join(
-            f"{v},{c}\n" for v, c in enumerate(hist.bins)))
+        _write_pairs(args.csv, "value,count", enumerate(hist.bins))
     return 0
 
 
@@ -315,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="autocorrelation, cross-correlation and power spectrum")
     _add_generator_args(p)
     p.add_argument("--in", dest="infile", help="read ascii bits from this file instead of generating")
-    p.add_argument("--count", type=int, default=100000, help="bits to generate when not reading a file")
+    p.add_argument("--count", type=int, help="bits to generate when not reading a file (default 100000)")
     p.add_argument("--max-lag", type=int, default=1000)
     p.add_argument("--acf-csv", help="write autocorrelation CSV (lag,value)")
     p.add_argument("--spectrum-csv", help="write power spectrum CSV (bin,power)")

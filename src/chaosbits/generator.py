@@ -436,16 +436,16 @@ class ChaoticBitGenerator:
         generator has one (see ``backend``); the Python body is its
         reference.  Without a transcript it runs the logistic recurrence
         inline, with the same arithmetic as logistic_step, m_from_y,
-        strategy_from_y and chaotic_step.  out, when given, receives the
-        emitted masks: a uint64 array for n_cells <= 64 and an object
-        array above.  The loop stops after the first block whose
-        state_key() equals key; key None stands for _NO_KEY, which no
-        state equals.  On an error mid-block (a degenerate orbit, an
-        exhausted transcript or an out-of-range strategy) the generator
-        is left in the state reached at the failure point, out holds the
-        blocks completed before it (as many as blocks_emitted grew by),
-        and the error propagates; a failing logistic sample is never
-        consumed.
+        strategy_from_y and chaotic_step.  out, when given, is a
+        C-contiguous uint8 array whose row b receives the b-th emitted
+        mask's ceil(n_cells/8) big-endian bytes, on both loops.  The loop
+        stops after the first block whose state_key() equals key; key None
+        stands for _NO_KEY, which no state equals.  On an error mid-block
+        (a degenerate orbit, an exhausted transcript or an out-of-range
+        strategy) the generator is left in the state reached at the
+        failure point, out holds the blocks completed before it (as many
+        as blocks_emitted grew by), and the error propagates; a failing
+        logistic sample is never consumed.
         """
         key_mask, key_driver = _NO_KEY if key is None else key
         if self._kernel is not None:
@@ -464,6 +464,9 @@ class ChaoticBitGenerator:
             return done
         transcript = self._transcript
         n = self._n
+        nbytes = (n + 7) // 8
+        # Rows made so far, copied into out at the end: cheaper than a store per block.
+        rows = bytearray()
         y = self._y
         mask = self._mask
         iters = 0
@@ -489,7 +492,7 @@ class ChaoticBitGenerator:
                         mask ^= 1 << (n - 1 - r)
                     iters += len(gap)
                     if out is not None:
-                        out[done] = mask
+                        rows += mask.to_bytes(nbytes, "big")
                     done += 1
                     if mask == key_mask and y == key_driver:
                         break
@@ -499,7 +502,7 @@ class ChaoticBitGenerator:
                         mask ^= 1 << (n - transcript.next_strategy(n))
                         iters += 1
                     if out is not None:
-                        out[done] = mask
+                        rows += mask.to_bytes(nbytes, "big")
                     done += 1
                     if mask == key_mask and transcript.key() == key_driver:
                         break
@@ -508,6 +511,8 @@ class ChaoticBitGenerator:
             self._mask = mask
             self._iter_count += iters
             self._blocks_emitted += done
+            if out is not None:
+                out[:done] = np.frombuffer(rows, dtype=np.uint8).reshape(done, nbytes)
         return done
 
     def next_block(self) -> tuple[int, ...]:
@@ -539,31 +544,17 @@ class ChaoticBitGenerator:
         n = self._n
         missing = count - self._pending_bits.size
         if missing > 0:
-            masks = np.empty(-(-missing // n), dtype=np.uint64 if n <= 64 else object)
+            rows = np.empty((-(-missing // n), (n + 7) // 8), dtype=np.uint8)
             first = self._blocks_emitted
             try:
-                self._advance(masks.size, masks)
+                self._advance(len(rows), rows)
             finally:
-                done = _masks_to_bit_array(masks[: self._blocks_emitted - first], n)
-                self._pending_bits = np.concatenate((self._pending_bits, done))
+                # Each row's cells follow the -n % 8 pad bits of its first byte.
+                done = np.unpackbits(rows[: self._blocks_emitted - first], axis=1)[:, -n % 8 :]
+                self._pending_bits = np.concatenate((self._pending_bits, done), axis=None)
         buffer = self._pending_bits
         self._pending_bits = buffer[count:]
         return buffer[:count]
-
-
-def _masks_to_bit_array(masks: np.ndarray, n_cells: int) -> np.ndarray:
-    """Cells of each mask, component 1 (the high bit) first, as one uint8 array.
-
-    masks is a uint64 array for n_cells <= 64 and an object array of ints above.
-    """
-    nbytes = (n_cells + 7) // 8
-    if n_cells <= 64:
-        words = masks.astype(">u8").view(np.uint8).reshape(-1, 8)
-        rows = words[:, 8 - nbytes :]
-    else:
-        raw = b"".join(mask.to_bytes(nbytes, "big") for mask in masks)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
-    return np.unpackbits(rows, axis=1)[:, 8 * nbytes - n_cells :].ravel()
 
 
 def generate_bits(config: GeneratorConfig, count: int, *, driver=None) -> np.ndarray:

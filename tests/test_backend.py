@@ -266,12 +266,13 @@ def test_advance_without_key_runs_through_a_zero_mask(transcript):
     def run():
         driver = None if transcript is None else TranscriptDriver(*transcript, cycle=True)
         gen = ChaoticBitGenerator(cfg, driver=driver)
-        masks = np.zeros(8, dtype=np.uint64)
-        return gen._advance(8, masks), masks.tolist()
+        # Three cells make one-byte rows; 0xFF shows a row left unwritten.
+        rows = np.full((8, 1), 0xFF, dtype=np.uint8)
+        return gen._advance(8, rows), rows.tobytes()
 
-    done, masks = run()
-    assert done == 8 and masks[0] == 0
-    assert python_loop(run) == (done, masks)
+    done, rows = run()
+    assert done == 8 and rows[0] == 0
+    assert python_loop(run) == (done, rows)
 
 
 @pytest.mark.parametrize("backend", ["default", "python"])

@@ -328,6 +328,14 @@ def test_cycle_transcript_flag_repeats(tmp_path, transcript_file):
     assert len(out.read_text().strip()) == 60
 
 
+def test_cycle_transcript_without_transcript_is_a_usage_error(capsys):
+    # There is no transcript to repeat, so the flag would change nothing.
+    code = main(["gen", "--scheme", "scheme-6", "--seed", "484076", "--cycle-transcript", "--count", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""
+
+
 # -- test subcommand -----------------------------------------------------------------
 
 
@@ -406,6 +414,26 @@ def test_analyze_file_input_and_cross(tmp_path, capsys):
     assert code == 0
     assert "cross-correlation" in capsys.readouterr().out
     assert ccf.read_text().startswith("lag,value\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--count", "5000"],
+        ["--count", "100000"],  # the default, given explicitly
+        ["--scheme", "scheme-6", "--seed", "484076"],
+        ["--no-emit-initial"],
+        ["--seed-from-time"],
+        ["--config", "cfg.txt"],
+    ],
+)
+def test_analyze_file_input_rejects_generator_flags(tmp_path, capsys, flags):
+    # --in takes its bits from the file, so these flags would change nothing.
+    bits = tmp_path / "a.txt"
+    bits.write_text("0110" * 50 + "\n")
+    assert main(["analyze", "--in", str(bits), "--max-lag", "10", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""
 
 
 # -- cycle -----------------------------------------------------------------------------

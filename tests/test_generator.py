@@ -467,10 +467,11 @@ def test_hamming_step_through_generator():
         for name, (n, m_set) in SCHEMES.items()
     ]
     + [pytest.param(WIDE_CONFIG, id="n70")]
-    # The edges of the bit expansion: one 64-bit word, and masks wider than it.
+    # The edges of the bit expansion: rows of two and three bytes with
+    # and without pad bits, one 64-bit word, and masks wider than it.
     + [
         pytest.param(GeneratorConfig(n, m_set, SeedSpec.from_time(903211)), id=f"n{n}")
-        for n, m_set in ((64, (1, 3)), (65, (2,)), (130, (3, 4)))
+        for n, m_set in ((9, (2, 3)), (16, (1,)), (17, (2, 5)), (64, (1, 3)), (65, (2,)), (130, (3, 4)))
     ],
 )
 def test_reference_simulation_matches_generator(cfg):
