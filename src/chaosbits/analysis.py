@@ -205,13 +205,13 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
     The orbit element is the full digital state: cell vector plus
     complete driver state (the binary64 logistic value, or the phase
     pair of a cycling transcript).  Anything less would report spurious
-    periods.  Detection is Brent's algorithm over fresh generator
-    restarts; the result is verified by re-simulating two aligned
-    copies through 3 periods past the transient.  transcript, when
-    given, is an (m_seq, s_seq) pair forced as a cycling driver in
-    place of the logistic one.  If no cycle is confirmed within
-    ``budget`` state steps a BudgetExceeded result is returned rather
-    than an error or a guess.
+    periods.  Brent's algorithm finds the period lam; the transient mu
+    is found by whole periods, then a lockstep walk of at most lam
+    blocks; the result is verified by three key stops of lam blocks from
+    mu.  transcript, when given, is an (m_seq, s_seq) pair forced as a
+    cycling driver in place of the logistic one.  If no cycle is
+    confirmed within ``budget`` state steps a BudgetExceeded result is
+    returned rather than an error or a guess.
     """
     budget = require_int(budget, "detect_cycle: budget", 1)
 
@@ -224,17 +224,19 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
 
     steps = 0
 
-    def advance(gen: ChaoticBitGenerator, limit: int, key: tuple | None = None) -> int:
-        # Orbit elements are driven blocks: the block loop is stepped
-        # directly, so the seed vector (emit_initial) is never echoed.
-        # Advance up to limit blocks, stopping after one whose state key
-        # equals key; running out of budget first ends the detection.
+    def run(gen: ChaoticBitGenerator, limit: int, key: tuple | None = None) -> int:
+        # Advance up to limit driven blocks (the seed vector is never
+        # echoed), stopping after one whose state key equals key; return
+        # how many ran if it stopped there, else 0.  Running out of budget
+        # first ends the detection.
         nonlocal steps
         done = gen._advance(min(limit, budget - steps), key=key)
         steps += done
-        if done < limit and (done == 0 or gen.state_key() != key):
+        if done and gen.state_key() == key:
+            return done
+        if done < limit:
             raise _BudgetHit
-        return done
+        return 0
 
     try:
         # Brent phase 1: period.  The tortoise is a stored key, teleported
@@ -242,36 +244,34 @@ def detect_cycle(config: GeneratorConfig, *, transcript=None, budget: int = 10 *
         # runs each window in one call that stops where it meets the key.
         power = 1
         hare = fresh()
-        while True:
-            tortoise_key = hare.state_key()
-            lam = advance(hare, power, tortoise_key)
-            if hare.state_key() == tortoise_key:
-                break
+        while not (lam := run(hare, power, hare.state_key())):
             power *= 2
 
-        # Phase 2: transient, from two fresh restarts lam apart.
+        # Phase 2: transient.  A transient state never comes back and a
+        # cycle state comes back after exactly lam blocks, so the first
+        # of positions 0, lam, 2*lam, ... that returns, p, has
+        # p - lam < mu <= p.  ahead then holds the state lam blocks after
+        # max(p - lam, 0), where behind restarts, and meets it at mu.
         ahead = fresh()
-        advance(ahead, lam)
+        p = 0
+        while not run(ahead, lam, ahead.state_key()):
+            p += lam
+        mu = max(p - lam, 0)
         behind = fresh()
-        mu = 0
+        run(behind, mu)
         while behind.state_key() != ahead.state_key():
-            advance(behind, 1)
-            advance(ahead, 1)
+            run(behind, 1)
+            run(ahead, 1)
             mu += 1
 
-        # Verification: two aligned copies must agree for 3 periods.
-        check_a = fresh()
-        advance(check_a, mu)
-        check_b = fresh()
-        advance(check_b, mu + lam)
-        for _ in range(3 * lam):
-            if check_a.state_key() != check_b.state_key():
+        # Verification: from mu the state must come back after exactly lam
+        # blocks, three times; a key stop checks every block on the way.
+        for _ in range(3):
+            if run(behind, lam, behind.state_key()) != lam:
                 raise RuntimeError(
                     "detect_cycle: verification failed; the state key does not "
                     "determine the orbit (this is a bug)"
                 )
-            advance(check_a, 1)
-            advance(check_b, 1)
     except _BudgetHit:
         return BudgetExceeded(budget=budget, steps_executed=steps)
 

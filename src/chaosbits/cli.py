@@ -115,12 +115,12 @@ def _flag_entries(args) -> list[tuple[str, str]]:
 
 def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
     transcript = None
-    if getattr(args, "transcript", None):
+    if getattr(args, "transcript", None) is not None:
         with open(args.transcript, "r", encoding="ascii") as fh:
             transcript = transcript_from_text(fh.read())
 
     entries = _flag_entries(args)
-    if args.config:
+    if args.config is not None:
         if entries or args.seed_from_time:
             raise ValueError("--config replaces the other generator flags; do not combine them")
         with open(args.config, "r", encoding="ascii") as fh:
@@ -159,7 +159,7 @@ def _write_pairs(path: str, header: str, pairs) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.cycle_transcript and not args.transcript:
+    if args.cycle_transcript and args.transcript is None:
         raise ValueError("--cycle-transcript repeats a --transcript; give one")
     config, transcript = _resolve_config(args)
     if args.count < 0:
@@ -196,7 +196,7 @@ def cmd_test(args) -> int:
         serial_m=args.serial_m,
         apen_m=args.apen_m,
     )
-    if args.csv:
+    if args.csv is not None:
         _write_text(args.csv, report_to_csv(report))
     sys.stdout.write(report_to_text(report))
     return 0 if report.passed else 1
@@ -205,8 +205,8 @@ def cmd_test(args) -> int:
 def cmd_analyze(args) -> int:
     if args.max_lag < 1:
         raise ValueError("--max-lag must be at least 1")
-    if args.infile:
-        if _flag_entries(args) or args.config or args.seed_from_time or args.count is not None:
+    if args.infile is not None:
+        if _flag_entries(args) or args.config is not None or args.seed_from_time or args.count is not None:
             raise ValueError("--in reads the bits from a file; do not add generator flags or --count")
         with open(args.infile, "r", encoding="ascii") as fh:
             bits = parse_ascii_bits(fh.read())
@@ -225,18 +225,18 @@ def cmd_analyze(args) -> int:
     print(f"autocorrelation: {len(tail)} of {args.max_lag} lags exceed 4/sqrt(n)={bound:.6g}")
     rel = abs(spec.spectral_energy - spec.time_energy) / spec.time_energy
     print(f"spectrum: flatness={spec.flatness:.6g} parseval_rel_err={rel:.3g}")
-    if args.acf_csv:
+    if args.acf_csv is not None:
         _write_pairs(args.acf_csv, "lag,value", zip(auto.lags, auto.values))
-    if args.spectrum_csv:
+    if args.spectrum_csv is not None:
         _write_pairs(args.spectrum_csv, "bin,power", zip(spec.bins, spec.power))
-    if args.cross_with:
+    if args.cross_with is not None:
         with open(args.cross_with, "r", encoding="ascii") as fh:
             other = parse_ascii_bits(fh.read())
         cross = cross_correlation(bits, other, args.max_lag)
         peak = max(abs(v) for v in cross.values)
         print(f"cross-correlation: max|r|={peak:.6g} over lags 0..{args.max_lag}"
               + (" (degenerate input)" if cross.degenerate else ""))
-        if args.ccf_csv:
+        if args.ccf_csv is not None:
             _write_pairs(args.ccf_csv, "lag,value", zip(cross.lags, cross.values))
     return 0
 
@@ -285,7 +285,7 @@ def cmd_histogram(args) -> int:
     chi2 = chi_square_uniformity(hist)
     print(f"pixels={hist.total}")
     print(f"chi_square_256={chi2!r}")
-    if args.csv:
+    if args.csv is not None:
         _write_pairs(args.csv, "value,count", enumerate(hist.bins))
     return 0
 

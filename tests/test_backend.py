@@ -296,7 +296,7 @@ def test_advance_without_out_keeps_no_masks(backend):
 # samples.  With the one gap 420,908 a block spans the whole cycle, so
 # from block 1 on y repeats every block and the cells every two blocks:
 # transient 1, period 2.  Brent's phase 1 closes on step 3, and the whole
-# detection with its verification takes 23 steps.
+# detection with its verification takes 3 + 2*1 + 5*2 = 15 steps.
 SHORT_CYCLE = GeneratorConfig(5, (420908,), SeedSpec.explicit((1, 0, 1, 0, 0), 0.25563111672756278))
 
 
@@ -305,7 +305,8 @@ SHORT_CYCLE = GeneratorConfig(5, (420908,), SeedSpec.explicit((1, 0, 1, 0, 0), 0
     [
         (2, BudgetExceeded(budget=2, steps_executed=2)),
         (3, BudgetExceeded(budget=3, steps_executed=3)),
-        (23, CycleReport(transient_length=1, cycle_period=2, orbit_length=3)),
+        (14, BudgetExceeded(budget=14, steps_executed=14)),
+        (15, CycleReport(transient_length=1, cycle_period=2, orbit_length=3)),
     ],
 )
 def test_detect_cycle_matches_python_loop(budget, expected):
@@ -334,12 +335,49 @@ def test_detect_cycle_fixed_point_matches_python_loop():
     "budget, expected",
     [
         (31, BudgetExceeded(budget=31, steps_executed=31)),
-        (158, BudgetExceeded(budget=158, steps_executed=158)),
-        (159, CycleReport(transient_length=0, cycle_period=16, orbit_length=16)),
+        (94, BudgetExceeded(budget=94, steps_executed=94)),
+        (95, CycleReport(transient_length=0, cycle_period=16, orbit_length=16)),
     ],
 )
 def test_detect_cycle_step_accounting_under_transcript(budget, expected):
     # The worked example: phase 1 closes on step 31 (windows 1+2+4+8,
-    # then 16), and detection plus verification takes 159 steps.
+    # then 16).  The transient is 0, so one period test of 16 steps finds
+    # it, and three verification periods of 16 make 31 + 16 + 48 = 95.
     cfg = GeneratorConfig(4, (1, 2), SeedSpec.explicit((0, 0, 0, 0), 0.1))
     assert detect_cycle(cfg, transcript=((1, 2), (1, 2, 3, 4)), budget=budget) == expected
+
+
+# Two orbits whose transient spans several periods, so the transient
+# search tests several whole periods before a state comes back.  In the
+# second the transient is exactly two periods: block 2*lam is the first
+# to come back, and the lockstep walk from block lam runs a full period.
+@pytest.mark.parametrize(
+    "m_set, expected",
+    [
+        ((734, 836), CycleReport(transient_length=1084, cycle_period=537, orbit_length=1621)),
+        ((1168, 2821), CycleReport(transient_length=426, cycle_period=213, orbit_length=639)),
+    ],
+)
+def test_detect_cycle_transient_of_several_periods(m_set, expected):
+    cfg = GeneratorConfig(3, m_set, SeedSpec.explicit((1, 0, 0), 0.25563111672756278))
+    assert detect_cycle(cfg) == expected
+    assert python_loop(detect_cycle, cfg) == expected
+
+
+@pytest.mark.parametrize("transcript", [((1,), (4, 1, 1)), ((1, 3), (1, 3, 2, 4, 4))])
+def test_detect_cycle_verification_catches_an_incomplete_key(monkeypatch, transcript):
+    # A transcript key without the strategy phase lets two different states
+    # look equal, so the period found does not bring the state back.
+    monkeypatch.setattr(TranscriptDriver, "key", lambda self: ("transcript", self._gi % len(self.m_seq)))
+    cfg = GeneratorConfig(4, (1, 2), SeedSpec.explicit((0, 0, 0, 0), 0.1))
+    with pytest.raises(RuntimeError, match="verification failed"):
+        detect_cycle(cfg, transcript=transcript)
+
+
+def test_detect_cycle_scheme6_484077():
+    # README's Key space: seed 484077 enters the cycle of 484076.  About
+    # 9.5M blocks are stepped, so only the compiled loop runs it here.
+    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484077))
+    if ChaoticBitGenerator(cfg).backend == "python":
+        pytest.skip("needs the compiled block loop")
+    assert detect_cycle(cfg) == CycleReport(transient_length=1503250, cycle_period=727512, orbit_length=2230762)

@@ -303,6 +303,40 @@ def test_missing_input_file_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+SEEDED = ["--scheme", "scheme-6", "--seed", "484076"]
+SMALL_BATTERY = ["--sequences", "1", "--length", "4000", "--relaxed", "--block-len", "400",
+                 "--serial-m", "5", "--apen-m", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["gen", "--scheme", "scheme-4", "--x0", "10100", "--transcript", "", "--count", "5"], 3),
+        (["gen", "--scheme", "scheme-4", "--x0", "10100", "--transcript", "", "--cycle-transcript",
+          "--count", "5"], 3),
+        (["gen", "--config", "", "--count", "5"], 3),
+        (["gen", "--config", "", *SEEDED, "--count", "5"], 2),
+        (["cycle", *SEEDED, "--transcript", "", "--budget", "5"], 3),
+        (["test", *SEEDED, *SMALL_BATTERY, "--csv", ""], 3),
+        (["analyze", "--in", ""], 3),
+        (["analyze", "--in", "", *SEEDED, "--count", "100", "--max-lag", "10"], 2),
+        (["analyze", "--in", "BITS", "--max-lag", "10", "--cross-with", ""], 3),
+        (["analyze", "--in", "BITS", "--max-lag", "10", "--acf-csv", ""], 3),
+        (["analyze", "--in", "BITS", "--max-lag", "10", "--spectrum-csv", ""], 3),
+        (["analyze", "--in", "BITS", "--max-lag", "10", "--cross-with", "BITS", "--ccf-csv", ""], 3),
+        (["histogram", "--in", "PGM", "--csv", ""], 3),
+    ],
+)
+def test_empty_path_is_a_path(tmp_path, fixture_pgm, capsys, argv, expected):
+    # An empty path is given, not absent: it fails to open (exit 3), or it
+    # is rejected beside flags that a given path excludes (exit 2).
+    bits = tmp_path / "a.txt"
+    bits.write_text("0110" * 50 + "\n")
+    argv = [{"BITS": str(bits), "PGM": fixture_pgm}.get(a, a) for a in argv]
+    assert main(argv) == expected
+    assert ("usage error" if expected == 2 else "error") in capsys.readouterr().err
+
+
 def test_degenerate_seed_exit_3(capsys):
     code = main(["gen", "--scheme", "scheme-6", "--seed", "250000", "--count", "5"])
     assert code == 3
