@@ -47,7 +47,7 @@ from .generator import (
     GeneratorConfig,
     TranscriptDriver,
     TranscriptExhausted,
-    bits_to_ascii,
+    _ascii_codes,
     config_from_entries,
     config_from_text,
     config_to_text,
@@ -62,8 +62,14 @@ from .generator import (
 __all__ = ["SCHEMES", "main"]
 
 # Bits gen generates, renders and writes at a time (before rounding to
-# whole lines or bytes), so its memory does not grow with --count.
-GEN_CHUNK_BITS = 1 << 20
+# whole lines or bytes), so its memory does not grow with --count.  At
+# 2^16 bits the per-chunk buffers (the bits, the unpacked rows, the
+# ASCII lines) fit in L2 and stay under glibc's default 128 KiB mmap
+# threshold (the unpacked rows of N < 5 cells exceed it once, and glibc
+# then raises it), so malloc serves them from the heap and each chunk
+# reuses the pages the previous one freed instead of faulting in fresh
+# ones: 1e8 ASCII bits fault no more pages than 1e6.
+GEN_CHUNK_BITS = 1 << 16
 
 
 def _time_seed() -> int:
@@ -176,12 +182,12 @@ def cmd_gen(args) -> int:
     # renders alone; raw output ignores --wrap.
     step = (args.wrap or 1) if ascii_out else 8
     chunk = max(GEN_CHUNK_BITS // step, 1) * step
-    with _open_output(args.out, binary=not ascii_out) as fh:
+    with _open_output(args.out, binary=True) as fh:
         for start in range(0, args.count, chunk):
             bits = gen.bits(min(chunk, args.count - start))
-            fh.write(bits_to_ascii(bits, wrap=args.wrap) if ascii_out else pack_bits(bits))
+            fh.write(_ascii_codes(bits, args.wrap) if ascii_out else pack_bits(bits))
         if ascii_out and args.count and not args.wrap:
-            fh.write("\n")
+            fh.write(b"\n")
     return 0
 
 

@@ -86,13 +86,17 @@ def require_int(value, name: str, minimum: int) -> int:
 
 
 def require_bits(bits) -> np.ndarray:
-    """Return bits as a one-dimensional uint8 array of 0s and 1s, else raise ValueError."""
+    """Return bits as a one-dimensional uint8 array of 0s and 1s, else raise ValueError.
+
+    A uint8 array comes back as itself, not a copy, so callers must not
+    write into the result.
+    """
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
     if arr.size and np.any((arr != 0) & (arr != 1)):
         raise ValueError("bit sequence must contain only 0s and 1s")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=False)
 
 
 # Seeds that collapse onto a logistic fixed point within two steps.
@@ -549,9 +553,14 @@ class ChaoticBitGenerator:
             try:
                 self._advance(len(rows), rows)
             finally:
-                # Each row's cells follow the -n % 8 pad bits of its first byte.
-                done = np.unpackbits(rows[: self._blocks_emitted - first], axis=1)[:, -n % 8 :]
-                self._pending_bits = np.concatenate((self._pending_bits, done), axis=None)
+                # One flat unpack of the rows made; each row's cells follow
+                # the -n % 8 pad bits of its first byte.
+                k = self._blocks_emitted - first
+                done = np.unpackbits(rows[:k].reshape(-1)).reshape(k, 8 * rows.shape[1])[:, -n % 8 :]
+                if self._pending_bits.size:
+                    self._pending_bits = np.concatenate((self._pending_bits, done), axis=None)
+                else:
+                    self._pending_bits = done.reshape(-1)
         buffer = self._pending_bits
         self._pending_bits = buffer[count:]
         return buffer[:count]
@@ -588,16 +597,24 @@ def bits_to_ascii(bits: Sequence[int], wrap: int = 0) -> str:
         raise TypeError(
             f"bits_to_ascii: bits must be a sequence or array, not {type(bits).__name__}"
         )
-    chars = np.add(arr != 0, ord("0"), dtype=np.uint8).ravel()
+    return _ascii_codes(arr.ravel(), wrap).tobytes().decode("ascii")
+
+
+def _ascii_codes(bits: np.ndarray, wrap: int) -> np.ndarray:
+    """The text bits_to_ascii renders from a one-dimensional bits, as uint8 character codes."""
     if not wrap or wrap < 0:
-        return chars.tobytes().decode("ascii")
-    full = chars.size - chars.size % wrap
-    lines = np.full((full // wrap, wrap + 1), ord("\n"), dtype=np.uint8)
-    lines[:, :wrap] = chars[:full].reshape(-1, wrap)
-    text = lines.tobytes()
-    if full < chars.size:
-        text += chars[full:].tobytes() + b"\n"
-    return text.decode("ascii")
+        return np.add(bits != 0, ord("0"), dtype=np.uint8)
+    full = bits.size // wrap
+    # The full lines are the rows of one (lines, wrap + 1) array, filled in
+    # place; a partial last line follows them.
+    out = np.empty(bits.size + -(-bits.size // wrap), dtype=np.uint8)
+    lines = out[: full * (wrap + 1)].reshape(full, wrap + 1)
+    np.not_equal(bits[: full * wrap].reshape(full, wrap), 0, out=lines[:, :wrap].view(np.bool_))
+    np.not_equal(bits[full * wrap :], 0, out=out[full * (wrap + 1) : -1].view(np.bool_))
+    out += ord("0")
+    lines[:, wrap] = ord("\n")
+    out[-1:] = ord("\n")
+    return out
 
 
 def parse_ascii_bits(text: str) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 import contextlib
 import gc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chaosbits
 import chaosbits.cli
 from chaosbits import (
     SCHEMES,
@@ -147,6 +151,22 @@ def test_gen_seed_from_time_prints_resolved_seed(tmp_path, capsys):
     ],
 )
 def test_gen_streamed_chunks_equal_one_shot(tmp_path, monkeypatch, fmt, count, wrap):
+    check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, 5, (14, 15))
+
+
+@pytest.mark.parametrize(
+    "fmt, count, wrap",
+    [("ascii", 203, 0), ("ascii", 203, 7), ("ascii", 203, 50), ("raw", 203, 0)],
+)
+@pytest.mark.parametrize("n_cells, m_set", [(2, (1, 2)), (9, (3, 4))])
+def test_gen_streamed_chunks_equal_one_shot_padded_rows(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_set):
+    # Rows of one byte with 6 pad bits, and of two bytes with 7; at N = 9
+    # a 24-bit chunk ends inside a block, so the next starts from its rest.
+    check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_set)
+
+
+def check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_set):
+    """gen in 24-bit chunks writes what one-shot generation renders."""
     monkeypatch.setattr(chaosbits.cli, "GEN_CHUNK_BITS", 24)
     requests = []
     real_bits = ChaoticBitGenerator.bits
@@ -157,18 +177,48 @@ def test_gen_streamed_chunks_equal_one_shot(tmp_path, monkeypatch, fmt, count, w
 
     monkeypatch.setattr(ChaoticBitGenerator, "bits", spy)
     out = tmp_path / "bits.out"
-    code = main(["gen", "--scheme", "scheme-6", "--seed", "484076", "--count", str(count),
+    code = main(["gen", "--n-cells", str(n_cells), "--m-set", ",".join(map(str, m_set)),
+                 "--seed", "484076", "--count", str(count),
                  "--format", fmt, "--wrap", str(wrap), "--out", str(out)])
     assert code == 0
     # A chunk grows past GEN_CHUNK_BITS only to hold one whole ASCII line.
     assert max(requests, default=0) <= (max(24, wrap) if fmt == "ascii" else 24)
-    bits = generate_bits(GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076)), count)
+    bits = generate_bits(GeneratorConfig(n_cells, m_set, SeedSpec.from_time(484076)), count)
     if fmt == "raw":
         expected = pack_bits(bits)
     else:
         text = bits_to_ascii(bits, wrap=wrap)
         expected = (text if not text or text.endswith("\n") else text + "\n").encode("ascii")
     assert out.read_bytes() == expected
+
+
+# Reads the minor page faults of one gen command after a smaller one has
+# warmed the process up; prints one count per command line.
+FAULT_PROBE = """
+import os, resource, sys
+from chaosbits.cli import main
+
+for argv in (["--scheme", "scheme-1", "--format", "ascii", "--wrap", "64"],
+             ["--scheme", "scheme-6", "--format", "raw"]):
+    argv = ["gen", *argv, "--seed", "484076", "--out", os.devnull]
+    main(argv + ["--count", str(2 ** 17)])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    main(argv + ["--count", str(2 ** 21)])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page-fault counts")
+def test_gen_reuses_its_pages_across_chunks():
+    # Sixteen times the bits of the warm-up command, in a fresh interpreter:
+    # a chunk loop that reuses the pages it touched faults ~20 pages, one
+    # that allocates fresh chunk buffers faults thousands.
+    src = str(Path(chaosbits.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
+    faults = [int(v) for v in probe.stdout.split()]
+    assert len(faults) == 2
+    assert max(faults) <= 128, faults
 
 
 def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):

@@ -32,6 +32,7 @@ from chaosbits import (
     strategy_from_y,
     transcript_from_text,
 )
+from chaosbits.generator import require_bits
 
 # The published worked example: seed vector, forced transcripts, output.
 X0 = (1, 0, 1, 0, 0)
@@ -612,6 +613,15 @@ def test_pack_bits_padding_and_empty():
         pack_bits([0, 2, 1])
 
 
+def test_require_bits_returns_uint8_input_itself():
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    assert np.shares_memory(require_bits(bits), bits)
+    for other in (bits.astype(bool), bits.astype(np.int64), bits.tolist()):
+        got = require_bits(other)
+        assert got.dtype == np.uint8 and got.tolist() == [0, 1, 1, 0]
+        assert not np.shares_memory(got, other)
+
+
 def test_ascii_round_trip_and_wrap():
     bits = [1, 0, 1, 0, 0, 1, 1, 1, 1, 0]
     assert bits_to_ascii(bits) == "1010011110"
@@ -660,6 +670,14 @@ def test_bits_to_ascii_matches_per_bit_reference(values, as_input, wrap):
     # shorter and longer than the input.
     bits = as_input(values)
     assert bits_to_ascii(bits, wrap=wrap) == ascii_reference(bits, wrap)
+
+
+@pytest.mark.parametrize("wrap", [0, 1, 3, 6])
+def test_bits_to_ascii_renders_every_truthy_value_as_one(wrap):
+    # Non-bit values, negative and wider than a byte among them; wrap 6
+    # is longer than the input.
+    bits = np.array([0, 2, 1, 255, -1], dtype=np.int64)
+    assert bits_to_ascii(bits, wrap=wrap) == ascii_reference(bits.tolist(), wrap)
 
 
 @pytest.mark.parametrize(
