@@ -85,38 +85,16 @@ def _time_seed() -> int:
     raise DegenerateSeedError("could not derive a usable time seed; pass --seed explicitly")
 
 
-def _add_generator_args(p: argparse.ArgumentParser, transcript_ok: bool = False) -> None:
-    g = p.add_argument_group("generator")
-    g.add_argument("--scheme", choices=sorted(SCHEMES), help="named (n_cells, m_set) scheme")
-    g.add_argument("--n-cells", help="custom system size (with --m-set)")
-    g.add_argument("--m-set", help="custom comma-separated gap alphabet (with --n-cells)")
-    g.add_argument("--config", metavar="FILE", help="key=value config file, exclusive with the flags above")
-    g.add_argument("--seed", metavar="T", help="time-derived seed value")
-    g.add_argument("--x0", metavar="BITS", help="explicit initial cell vector, e.g. 10100")
-    g.add_argument("--y0", help="explicit logistic seed in (0,1)")
-    g.add_argument("--seed-from-time", action="store_true", help="seed from the clock and print the value")
-    g.add_argument("--no-emit-initial", action="store_true", help="start output at the first driven block")
-    if transcript_ok:
-        g.add_argument(
-            "--transcript",
-            metavar="FILE",
-            help="force explicit drivers from a file with lines m=... and s=...",
-        )
-
-
 def _flag_entries(args) -> list[tuple[str, str]]:
-    """(key, text) of each generator flag but --config, --seed-from-time; config_from_entries rejects repeats."""
+    """Each generator flag's config entry (key, text), a --scheme as its n_cells and m_set.
+
+    A repeated flag repeats its key, which config_from_entries rejects as in a --config file.
+    """
     entries = []
-    if args.scheme is not None:
-        n_cells, m_set = SCHEMES[args.scheme]
+    for name in args.scheme or ():
+        n_cells, m_set = SCHEMES[name]
         entries += [("n_cells", str(n_cells)), ("m_set", ",".join(map(str, m_set)))]
-    for key, value in (("n_cells", args.n_cells), ("m_set", args.m_set), ("seed.t", args.seed),
-                       ("seed.x0", args.x0), ("seed.y0", args.y0)):
-        if value is not None:
-            entries.append((key, value))
-    if args.no_emit_initial:
-        entries.append(("emit_initial", "false"))
-    return entries
+    return entries + (args.entries or [])
 
 
 def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
@@ -132,7 +110,8 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
         with open(args.config, "r", encoding="ascii") as fh:
             return config_from_text(fh.read()), transcript
 
-    if args.x0 is not None and args.y0 is None and transcript is not None:
+    keys = {key for key, _ in entries}
+    if transcript is not None and "seed.x0" in keys and "seed.y0" not in keys:
         # A forced transcript never draws from the logistic driver, so y0 is a placeholder.
         entries.append(("seed.y0", "0.1"))
     if args.seed_from_time:
@@ -303,8 +282,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a bitstream")
-    _add_generator_args(p, transcript_ok=True)
+    # The generator flags, declared once as argparse parents.  Each keyed
+    # flag appends its config entry (key, text) to args.entries, so
+    # config_from_entries reads the flags as it reads a --config file.
+    generator = argparse.ArgumentParser(add_help=False)
+    g = generator.add_argument_group("generator")
+
+    def keyed(flag: str, key: str, metavar: str, help_text: str) -> None:
+        g.add_argument(flag, action="append", dest="entries", type=lambda text: (key, text), metavar=metavar,
+                       help=help_text)
+
+    g.add_argument("--scheme", action="append", choices=sorted(SCHEMES), help="named (n_cells, m_set) scheme")
+    keyed("--n-cells", "n_cells", "N_CELLS", "custom system size (with --m-set)")
+    keyed("--m-set", "m_set", "M_SET", "custom comma-separated gap alphabet (with --n-cells)")
+    g.add_argument("--config", metavar="FILE", help="key=value config file, exclusive with the flags above")
+    keyed("--seed", "seed.t", "T", "time-derived seed value")
+    keyed("--x0", "seed.x0", "BITS", "explicit initial cell vector, e.g. 10100")
+    keyed("--y0", "seed.y0", "Y0", "explicit logistic seed in (0,1)")
+    g.add_argument("--seed-from-time", action="store_true", help="seed from the clock and print the value")
+    g.add_argument("--no-emit-initial", action="append_const", dest="entries", const=("emit_initial", "false"),
+                   help="start output at the first driven block")
+    # Only gen and cycle force the drivers; argparse merges this group into
+    # the one above by its title, so --transcript ends the generator group.
+    forced = argparse.ArgumentParser(add_help=False)
+    forced.add_argument_group("generator").add_argument(
+        "--transcript", metavar="FILE", help="force explicit drivers from a file with lines m=... and s=...")
+
+    p = sub.add_parser("gen", parents=[generator, forced], help="generate a bitstream")
     p.add_argument("--cycle-transcript", action="store_true",
                    help="repeat a forced transcript instead of exhausting it")
     p.add_argument("--count", type=int, required=True, help="number of bits")
@@ -313,8 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output file ('-' = stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("test", help="run the statistical battery")
-    _add_generator_args(p)
+    p = sub.add_parser("test", parents=[generator], help="run the statistical battery")
     p.add_argument("--sequences", type=int, default=10, help="number of sequences")
     p.add_argument("--length", type=int, default=100000, help="bits per sequence")
     p.add_argument("--relaxed", action="store_true",
@@ -325,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the report as CSV to this file")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("analyze", help="autocorrelation, cross-correlation and power spectrum")
-    _add_generator_args(p)
+    p = sub.add_parser("analyze", parents=[generator],
+                       help="autocorrelation, cross-correlation and power spectrum")
     p.add_argument("--in", dest="infile", help="read ascii bits from this file instead of generating")
     p.add_argument("--count", type=int, help="bits to generate when not reading a file (default 100000)")
     p.add_argument("--max-lag", type=int, default=1000)
@@ -336,8 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ccf-csv", help="write cross-correlation CSV (lag,value)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("cycle", help="detect the period of the state orbit")
-    _add_generator_args(p, transcript_ok=True)
+    p = sub.add_parser("cycle", parents=[generator, forced], help="detect the period of the state orbit")
     p.add_argument("--budget", type=int, default=10 ** 8, help="state-step budget")
     p.set_defaults(func=cmd_cycle)
 
@@ -351,8 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (("encrypt", "one-time-pad a PGM image"),
                             ("decrypt", "alias of encrypt (the cipher is an involution)")):
-        p = sub.add_parser(name, help=help_text)
-        _add_generator_args(p)
+        p = sub.add_parser(name, parents=[generator], help=help_text)
         p.add_argument("--in", dest="infile", required=True, help="input PGM (P5)")
         p.add_argument("--out", required=True, help="output PGM (P5)")
         p.set_defaults(func=cmd_crypt)
@@ -373,13 +374,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (DegenerateSeedError, TranscriptExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (DegenerateSeedError, TranscriptExhausted, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:

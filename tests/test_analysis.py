@@ -103,6 +103,8 @@ def test_cross_correlation_degenerate_and_errors():
         cross_correlation(random_bits(50, 8), random_bits(49, 8), 4)
     with pytest.raises(ValueError):
         cross_correlation(random_bits(50, 8), random_bits(50, 9), -1)
+    with pytest.raises(ValueError, match="must exceed max_lag"):
+        cross_correlation(random_bits(4, 8), random_bits(4, 9), 4)
 
 
 def test_cross_correlation_lag_shifts_second_sequence():

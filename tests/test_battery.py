@@ -83,6 +83,8 @@ def test_monobit_length_gate():
     with pytest.raises(ValueError):
         frequency_monobit(bits("1011010101"))
     frequency_monobit(bits("1011010101"), relaxed=True)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        frequency_monobit(np.zeros((2, 100), np.uint8))
 
 
 def test_monobit_monotone_in_imbalance():
@@ -137,6 +139,10 @@ def test_runs_gate_failure():
     r = runs_test([1] * 120 + [0] * 8, relaxed=True)
     assert r.p_value == 0.0
     assert r.params["gate_failed"] is True
+    # Three ones pass the gate (|pi - 1/2| < 2/sqrt(3)) with no variance left.
+    r = runs_test(np.ones(3, np.uint8), relaxed=True)
+    assert r.p_value == 0.0
+    assert r.params["gate_failed"] is False
 
 
 def test_runs_alternation_extreme():

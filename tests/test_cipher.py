@@ -111,6 +111,12 @@ def test_pgm_read_rejects_malformed(data):
         read_pgm(io.BytesIO(data))
 
 
+def test_pgm_read_header_ending_at_eof():
+    # The maxval token ends at end of file, so no raster follows it.
+    with pytest.raises(ValueError, match="raster truncated"):
+        read_pgm(io.BytesIO(b"P5 2 2 255"))
+
+
 def test_pgm_write_to_stream():
     buf = io.BytesIO()
     write_pgm(GrayscaleImage(2, 2, bytes([0, 128, 200, 255])), buf)

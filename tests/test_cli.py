@@ -260,11 +260,26 @@ def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):
         ["gen", "--n-cells", "5", "--seed", "1", "--count", "5"],  # no --m-set
         # rejected before the (missing) file is opened
         ["gen", "--config", "cfg.txt", "--no-emit-initial", "--count", "5"],
+        ["gen", "--scheme", "scheme-6", "--seed", "484076", "--count", "5", "--wrap", "-1"],
+        # a repeated generator flag repeats its config key
+        pytest.param(["gen", "--scheme", "scheme-6", "--seed", "1", "--seed", "2", "--count", "5"],
+                     id="seed-twice"),
+        pytest.param(["gen", "--scheme", "scheme-6", "--scheme", "scheme-6", "--seed", "1", "--count", "5"],
+                     id="scheme-twice"),
+        pytest.param(["gen", "--scheme", "scheme-6", "--x0", "10100", "--x0", "10100", "--y0", "0.3",
+                      "--count", "5"], id="x0-twice"),
+        pytest.param(["gen", "--scheme", "scheme-6", "--seed", "1", "--no-emit-initial", "--no-emit-initial",
+                      "--count", "5"], id="no-emit-initial-twice"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    flags = [a for a in argv if a.startswith("--")]
+    if len(set(flags)) < len(flags):
+        # The same rule as for a key repeated in a --config file.
+        assert "given twice" in err
 
 
 def test_config_flag_is_exclusive(tmp_path, capsys):
@@ -316,6 +331,30 @@ def test_seed_from_time_rereads_zero_and_degenerate_clock(tmp_path, monkeypatch,
     assert code == 0
     assert "resolved seed.t=484076\n" in capsys.readouterr().err
     assert next(clock, None) is None
+
+
+def test_seed_from_time_gives_up_on_a_stuck_clock(monkeypatch, capsys):
+    # Every read gives microsecond part 0, which seeds nothing.
+    monkeypatch.setattr(chaosbits.cli.time, "time_ns", lambda: 0)
+    monkeypatch.setattr(chaosbits.cli.time, "sleep", lambda seconds: None)
+    assert main(["gen", "--scheme", "scheme-6", "--seed-from-time", "--count", "8"]) == 3
+    captured = capsys.readouterr()
+    assert "could not derive a usable time seed" in captured.err and captured.out == ""
+
+
+GENERATOR_FLAGS = ["--scheme", "--n-cells", "--m-set", "--config", "--seed", "--x0", "--y0", "--seed-from-time",
+                   "--no-emit-initial"]
+
+
+@pytest.mark.parametrize("command", ["gen", "test", "analyze", "cycle", "encrypt", "decrypt"])
+def test_help_lists_the_generator_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    section = capsys.readouterr().out.split("\ngenerator:\n")[1]
+    flags = [line.split()[0] for line in section.splitlines() if line.startswith("  --")]
+    # Only the commands that can force the drivers take a transcript.
+    assert flags == GENERATOR_FLAGS + (["--transcript"] if command in ("gen", "cycle") else [])
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -269,6 +269,8 @@ def test_generator_config_validation():
         GeneratorConfig(5, (0, 4), seed)
     with pytest.raises(ValueError):
         GeneratorConfig(5, (4, 5), "not a seed")
+    with pytest.raises(TypeError, match="must be a GeneratorConfig"):
+        ChaoticBitGenerator("x")
 
 
 def test_numpy_integers_are_accepted_and_stored_as_int():

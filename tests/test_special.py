@@ -81,6 +81,7 @@ def test_erfc_basic_identities():
 def test_gammainc_upper_boundaries():
     assert gammainc_upper(4.5, 0.0) == 1.0
     assert gammainc_upper(1.0, 0.0) == 1.0
+    assert gammainc_upper(2.0, math.inf) == 0.0
     # Q(1, x) = exp(-x)
     assert gammainc_upper(1.0, 2.5) == pytest.approx(math.exp(-2.5), rel=1e-14)
 
