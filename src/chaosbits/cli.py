@@ -8,7 +8,8 @@ image histograms (histogram).
 
 Exit codes: 0 success, 1 statistical failure (battery verdict FAIL, or
 no cycle confirmed within budget), 2 usage error, 3 runtime error
-(degenerate seed, exhausted transcript, I/O failure).
+(degenerate seed, exhausted transcript, I/O failure, a closed or failing
+stdout).  Every output flag takes "-" for stdout.
 
 Every subcommand is deterministic given its flags; wall-clock seeding
 happens only under --seed-from-time, which prints the resolved seed so
@@ -18,7 +19,9 @@ the run can be replayed.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -120,22 +123,48 @@ def _resolve_config(args) -> tuple[GeneratorConfig, tuple | None]:
     config = config_from_entries(entries)
     if args.seed_from_time:
         # Printed only for a config that is used, so the run can be replayed.
-        print(f"resolved seed.t={t}", file=sys.stderr)
+        _note(f"resolved seed.t={t}\n")
     return config, transcript
 
 
 @contextmanager
-def _open_output(path: str, binary: bool = False):
-    if path == "-":
-        yield sys.stdout.buffer if binary else sys.stdout
+def _open_output(path: str):
+    """The byte stream an output flag names: the file at path, or stdout for "-".
+
+    stdout is flushed on the way out, however the block ends.  When that
+    flush fails, fd 1 is pointed at os.devnull before the error
+    propagates, so the interpreter's last flush of the bytes still
+    buffered cannot fail again at exit (status 120) after main() has
+    reported the error.
+    """
+    if path != "-":
+        with open(path, "wb") as fh:
+            yield fh
         return
-    with open(path, "wb") if binary else open(path, "w", encoding="ascii") as fh:
-        yield fh
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
+    out = sys.stdout.buffer
+    try:
+        yield out
+    finally:
+        try:
+            out.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+            raise
 
 
 def _write_text(path: str, text: str) -> None:
     with _open_output(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("ascii"))
+
+
+def _note(text: str) -> None:
+    """Write text to stderr; a closed stderr drops it."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
 
 
 def _write_pairs(path: str, header: str, pairs) -> None:
@@ -154,14 +183,14 @@ def cmd_gen(args) -> int:
     driver = None
     if transcript is not None:
         driver = TranscriptDriver(*transcript, cycle=args.cycle_transcript)
-    sys.stderr.write(config_to_text(config))
+    _note(config_to_text(config))
     gen = ChaoticBitGenerator(config, driver=driver)
     ascii_out = args.format == "ascii"
     # Whole lines (ASCII) or whole bytes (raw) per chunk, so each chunk
     # renders alone; raw output ignores --wrap.
     step = (args.wrap or 1) if ascii_out else 8
     chunk = max(GEN_CHUNK_BITS // step, 1) * step
-    with _open_output(args.out, binary=True) as fh:
+    with _open_output(args.out) as fh:
         for start in range(0, args.count, chunk):
             bits = gen.bits(min(chunk, args.count - start))
             fh.write(_ascii_codes(bits, args.wrap) if ascii_out else pack_bits(bits))
@@ -183,7 +212,7 @@ def cmd_test(args) -> int:
     )
     if args.csv is not None:
         _write_text(args.csv, report_to_csv(report))
-    sys.stdout.write(report_to_text(report))
+    _write_text("-", report_to_text(report))
     return 0 if report.passed else 1
 
 
@@ -204,12 +233,11 @@ def cmd_analyze(args) -> int:
     spec = power_spectrum(bits)
     bound = 4.0 / (n ** 0.5)
     tail = [v for v in auto.values[1:] if abs(v) > bound]
-    print(f"length: {n}")
-    print(f"autocorrelation: lag0={auto.values[0]:.6f}"
-          + (" (degenerate input)" if auto.degenerate else ""))
-    print(f"autocorrelation: {len(tail)} of {args.max_lag} lags exceed 4/sqrt(n)={bound:.6g}")
     rel = abs(spec.spectral_energy - spec.time_energy) / spec.time_energy
-    print(f"spectrum: flatness={spec.flatness:.6g} parseval_rel_err={rel:.3g}")
+    _write_text("-", f"length: {n}\n"
+                f"autocorrelation: lag0={auto.values[0]:.6f}{' (degenerate input)' if auto.degenerate else ''}\n"
+                f"autocorrelation: {len(tail)} of {args.max_lag} lags exceed 4/sqrt(n)={bound:.6g}\n"
+                f"spectrum: flatness={spec.flatness:.6g} parseval_rel_err={rel:.3g}\n")
     if args.acf_csv is not None:
         _write_pairs(args.acf_csv, "lag,value", zip(auto.lags, auto.values))
     if args.spectrum_csv is not None:
@@ -219,8 +247,8 @@ def cmd_analyze(args) -> int:
             other = parse_ascii_bits(fh.read())
         cross = cross_correlation(bits, other, args.max_lag)
         peak = max(abs(v) for v in cross.values)
-        print(f"cross-correlation: max|r|={peak:.6g} over lags 0..{args.max_lag}"
-              + (" (degenerate input)" if cross.degenerate else ""))
+        _write_text("-", f"cross-correlation: max|r|={peak:.6g} over lags 0..{args.max_lag}"
+                    f"{' (degenerate input)' if cross.degenerate else ''}\n")
         if args.ccf_csv is not None:
             _write_pairs(args.ccf_csv, "lag,value", zip(cross.lags, cross.values))
     return 0
@@ -232,12 +260,12 @@ def cmd_cycle(args) -> int:
         raise ValueError("--budget must be positive")
     result = detect_cycle(config, transcript=transcript, budget=args.budget)
     if isinstance(result, BudgetExceeded):
-        print(f"no cycle confirmed within budget={result.budget} "
-              f"(state steps executed: {result.steps_executed})")
+        _write_text("-", f"no cycle confirmed within budget={result.budget} "
+                    f"(state steps executed: {result.steps_executed})\n")
         return 1
-    print(f"transient_length={result.transient_length}")
-    print(f"cycle_period={result.cycle_period}")
-    print(f"orbit_length={result.orbit_length}")
+    _write_text("-", f"transient_length={result.transient_length}\n"
+                f"cycle_period={result.cycle_period}\n"
+                f"orbit_length={result.orbit_length}\n")
     return 0
 
 
@@ -250,17 +278,16 @@ def cmd_distance(args) -> int:
     d_e = sum(1 for u, v in zip(e_a, e_b) if u != v)
     d_s = phase_distance(s_a, e_a, s_b, e_a, prefix_k=args.prefix_k)
     k_eff = min(len(s_a), len(s_b), args.prefix_k)
-    print(f"d_e={d_e}")
-    print(f"d_s={d_s!r}")
-    print(f"d={d!r}")
-    print(f"tail_bound={phase_distance_tail_bound(len(e_a), k_eff)!r}")
+    _write_text("-", f"d_e={d_e}\nd_s={d_s!r}\nd={d!r}\n"
+                f"tail_bound={phase_distance_tail_bound(len(e_a), k_eff)!r}\n")
     return 0
 
 
 def cmd_crypt(args) -> int:
     config, _ = _resolve_config(args)
-    image = read_pgm(args.infile)
-    write_pgm(xor_cipher(image, config), args.out)
+    encrypted = xor_cipher(read_pgm(args.infile), config)
+    with _open_output(args.out) as fh:
+        write_pgm(encrypted, fh)
     return 0
 
 
@@ -268,8 +295,7 @@ def cmd_histogram(args) -> int:
     image = read_pgm(args.infile)
     hist = histogram(image)
     chi2 = chi_square_uniformity(hist)
-    print(f"pixels={hist.total}")
-    print(f"chi_square_256={chi2!r}")
+    _write_text("-", f"pixels={hist.total}\nchi_square_256={chi2!r}\n")
     if args.csv is not None:
         _write_pairs(args.csv, "value,count", enumerate(hist.bins))
     return 0
@@ -375,10 +401,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _note(f"usage error: {exc}\n")
         return 2
     except (DegenerateSeedError, TranscriptExhausted, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}\n")
         return 3
     finally:
         gc.unfreeze()

@@ -208,14 +208,19 @@ for argv in (["--scheme", "scheme-1", "--format", "ascii", "--wrap", "64"],
 """
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this chaosbits."""
+    src = str(Path(chaosbits.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page-fault counts")
 def test_gen_reuses_its_pages_across_chunks():
     # Sixteen times the bits of the warm-up command, in a fresh interpreter:
     # a chunk loop that reuses the pages it touched faults ~20 pages, one
     # that allocates fresh chunk buffers faults thousands.
-    src = str(Path(chaosbits.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=child_env(), capture_output=True, text=True,
+                           check=True)
     faults = [int(v) for v in probe.stdout.split()]
     assert len(faults) == 2
     assert max(faults) <= 128, faults
@@ -426,6 +431,49 @@ def test_empty_path_is_a_path(tmp_path, fixture_pgm, capsys, argv, expected):
     assert ("usage error" if expected == 2 else "error") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", *SEEDED, "--count", "8"],
+        ["test", *SEEDED, *SMALL_BATTERY],
+        ["analyze", *SEEDED, "--count", "200", "--max-lag", "10"],
+        ["cycle", *SEEDED, "--budget", "100"],
+        ["distance", "--e-a", "10", "--e-b", "11", "--s-a", "1", "--s-b", "2"],
+        ["histogram", "--in", "PGM"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exit_3(capsys, monkeypatch, fixture_pgm, argv):
+    # Python sets sys.stdout to None when fd 1 is closed at start-up (`>&-`).
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([fixture_pgm if a == "PGM" else a for a in argv]) == 3
+    assert "error: [Errno 9] standard output is closed\n" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_flush_exit_3():
+    # A buffered stdout holds the report until main() flushes it, and that
+    # flush fails on a full device: exit 3, not the interpreter's 120 from
+    # a failed flush at exit.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run([sys.executable, "-m", "chaosbits.cli", "distance", "--e-a", "10", "--e-b", "11",
+                              "--s-a", "1", "--s-b", "2"], env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: [Errno 28]") and "Exception ignored" not in run.stderr
+
+
+def test_closed_stderr_drops_messages(tmp_path, capsys, monkeypatch):
+    # Python sets sys.stderr to None when fd 2 is closed at start-up (`2>&-`).
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["cycle", *SEEDED, "--budget", "0"]) == 2
+    out = tmp_path / "bits.txt"
+    assert main(["gen", *SEEDED, "--count", "8", "--out", str(out)]) == 0
+    assert out.read_text() == "01100010\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_degenerate_seed_exit_3(capsys):
     code = main(["gen", "--scheme", "scheme-6", "--seed", "250000", "--count", "5"])
     assert code == 3
@@ -474,6 +522,15 @@ def test_battery_subcommand_pass_and_csv(tmp_path, capsys):
     text = csv.read_text()
     assert text.startswith("test,param,seq_index,p_value\n")
     assert "\ntest,p_t,pass\n" in text
+
+
+def test_battery_csv_to_stdout_precedes_the_report(tmp_path, capsys):
+    csv = tmp_path / "report.csv"
+    argv = ["test", *SEEDED, *SMALL_BATTERY]
+    code = main([*argv, "--csv", str(csv)])
+    report = capsys.readouterr().out
+    assert main([*argv, "--csv", "-"]) == code
+    assert capsys.readouterr().out == csv.read_text() + report
 
 
 def test_battery_subcommand_failure_exit_1(capsys):
@@ -607,6 +664,15 @@ def test_encrypt_decrypt_round_trip(tmp_path, fixture_pgm):
     assert main(["decrypt", *seed_args, "--in", str(enc), "--out", str(dec)]) == 0
     assert dec.read_bytes() == Path(fixture_pgm).read_bytes()
     assert enc.read_bytes() != dec.read_bytes()
+
+
+def test_encrypt_to_stdout_writes_the_file_bytes(tmp_path, fixture_pgm, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    enc = tmp_path / "enc.pgm"
+    assert main(["encrypt", *SEEDED, "--in", fixture_pgm, "--out", str(enc)]) == 0
+    assert main(["encrypt", *SEEDED, "--in", fixture_pgm, "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == enc.read_bytes()
+    assert not (tmp_path / "-").exists()
 
 
 def test_histogram_subcommand(tmp_path, fixture_pgm, capsys):
