@@ -99,11 +99,13 @@ def _lagged_sums(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
     """sum_i a_i b_(i+t) for t = 0..max_lag, by FFT (Wiener-Khinchin).
 
     Both inputs are zero-padded to a power of two of at least
-    len(a) + max_lag, so no shift wraps around onto the start.
+    len(a) + max_lag, so no shift wraps around onto the start.  An
+    autocorrelation (b is a) transforms its input once.
     """
     size = 1 << (a.size + max_lag - 1).bit_length()
-    spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
-    return np.fft.irfft(spectrum, size)[: max_lag + 1]
+    fa = np.fft.rfft(a, size)
+    fb = fa if b is a else np.fft.rfft(b, size)
+    return np.fft.irfft(np.conj(fa) * fb, size)[: max_lag + 1]
 
 
 def autocorrelation(bits, max_lag: int) -> CorrelationSeries:

@@ -370,20 +370,14 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return (counts.size / n) * float(np.dot(counts, counts)) - n
 
 
-def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestResult]:
-    """Frequency balance of overlapping m-bit patterns (wraparound).
-
-    Returns the two standard statistics: first difference
-    nabla psi2 = psi2(m) - psi2(m-1) with P-value Q(2^(m-2), nabla/2),
-    and second difference with P-value Q(2^(m-3), nabla2/2).  Relaxed
-    mode still needs n >= 2^(m-1), so the 2^m pattern counters never
-    outnumber 2n.
-    """
-    b = require_bits(bits)
-    n = b.size
+def _serial_m(n: int, m, relaxed: bool) -> int:
     m = require_int(m, "serial: pattern length m", 2)
     _require_length(n, max(100, 1 << (m + 3)), 1 << (m - 1), relaxed, "serial")
-    counts = _pattern_counts(b, m)
+    return m
+
+
+def _serial_results(counts: list[np.ndarray], n: int, m: int) -> tuple[TestResult, TestResult]:
+    # counts[i] holds the (m-i)-bit pattern counts.
     psi_m = _psi_sq(counts[0], n)
     psi_m1 = _psi_sq(counts[1], n)
     psi_m2 = _psi_sq(counts[2], n) if m > 2 else 0.0
@@ -397,6 +391,38 @@ def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestRe
     )
 
 
+def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestResult]:
+    """Frequency balance of overlapping m-bit patterns (wraparound).
+
+    Returns the two standard statistics: first difference
+    nabla psi2 = psi2(m) - psi2(m-1) with P-value Q(2^(m-2), nabla/2),
+    and second difference with P-value Q(2^(m-3), nabla2/2).  Relaxed
+    mode still needs n >= 2^(m-1), so the 2^m pattern counters never
+    outnumber 2n.
+    """
+    b = require_bits(bits)
+    m = _serial_m(b.size, m, relaxed)
+    return _serial_results(_pattern_counts(b, m), b.size, m)
+
+
+def _apen_m(n: int, m, relaxed: bool) -> int:
+    m = require_int(m, "approximate-entropy: pattern length m", 1)
+    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
+    return m
+
+
+def _apen_result(counts: list[np.ndarray], n: int, m: int) -> TestResult:
+    # counts[i] holds the (m+1-i)-bit pattern counts.
+    def phi(c: np.ndarray) -> float:
+        pos = c[c > 0] / n
+        return float(np.sum(pos * np.log(pos)))
+
+    apen = phi(counts[1]) - phi(counts[0])
+    chi2 = max(0.0, 2.0 * n * (math.log(2.0) - apen))
+    p = gammainc_upper(2.0 ** (m - 1), chi2 / 2.0)
+    return TestResult("approximate-entropy", chi2, p, {"m": m, "apen": apen})
+
+
 def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     """Approximate entropy of overlapping patterns of lengths m and m+1.
 
@@ -406,19 +432,8 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     2^(m+1) pattern counters never outnumber 2n.
     """
     b = require_bits(bits)
-    n = b.size
-    m = require_int(m, "approximate-entropy: pattern length m", 1)
-    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
-
-    def phi(counts: np.ndarray) -> float:
-        pos = counts[counts > 0] / n
-        return float(np.sum(pos * np.log(pos)))
-
-    counts = _pattern_counts(b, m + 1)
-    apen = phi(counts[1]) - phi(counts[0])
-    chi2 = max(0.0, 2.0 * n * (math.log(2.0) - apen))
-    p = gammainc_upper(2.0 ** (m - 1), chi2 / 2.0)
-    return TestResult("approximate-entropy", chi2, p, {"m": m, "apen": apen})
+    m = _apen_m(b.size, m, relaxed)
+    return _apen_result(_pattern_counts(b, m + 1), b.size, m)
 
 
 _MIN_P_VALUES = 55
@@ -497,8 +512,18 @@ def _run_all_tests(bits, relaxed: bool, block_len: int, serial_m: int, apen_m: i
         spectral_dft(bits, relaxed),
     ]
     results.extend(cumulative_sums(bits, relaxed))
-    results.extend(serial(bits, serial_m, relaxed))
-    results.append(approximate_entropy(bits, apen_m, relaxed))
+    # One pattern table for serial and approximate entropy: the shorter
+    # patterns' counts are exact folds of the longer ones', so each test
+    # reads the same counts it would count itself.  Both length checks
+    # run first, in the standalone order.
+    b = require_bits(bits)
+    n = b.size
+    serial_m = _serial_m(n, serial_m, relaxed)
+    apen_m = _apen_m(n, apen_m, relaxed)
+    width = max(serial_m, apen_m + 1)
+    counts = _pattern_counts(b, width)
+    results.extend(_serial_results(counts[width - serial_m:], n, serial_m))
+    results.append(_apen_result(counts[width - apen_m - 1:], n, apen_m))
     return results
 
 

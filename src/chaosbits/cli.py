@@ -19,12 +19,13 @@ the run can be replayed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import errno
 import gc
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .analysis import (
     BudgetExceeded,
@@ -141,9 +142,12 @@ def _open_output(path: str):
         with open(path, "wb") as fh:
             yield fh
         return
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, "standard output is closed")
-    out = sys.stdout.buffer
+    # sys.stdout is None when fd 1 was closed at start-up; a text-only
+    # stream such as io.StringIO has no byte layer to write to.
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        raise OSError(errno.EBADF, "standard output is closed" if sys.stdout is None
+                      else "standard output takes no bytes")
     try:
         yield out
     finally:
@@ -156,15 +160,40 @@ def _open_output(path: str):
             raise
 
 
+def _keep_freed_heap() -> None:
+    """Let malloc serve the battery's per-sequence temporaries from a heap that keeps them.
+
+    A sequence's large temporaries (spectral's +/-1 copy, its rfft
+    output and pocketfft's scratch, the pattern index) exceed glibc's
+    default 128 KiB mmap threshold, so each is mapped, faulted in page
+    by page and unmapped again on every sequence.  Below a 32 MiB mmap
+    threshold they come from the heap, and a 64 MiB trim threshold keeps
+    the pages one sequence freed for the next.  The setting is process
+    wide, so the CLI, which owns its process, makes it; library callers
+    of run_battery keep the allocator's defaults.  Where the C library
+    is not glibc, this does nothing.
+    """
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _write_text(path: str, text: str) -> None:
     with _open_output(path) as fh:
         fh.write(text.encode("ascii"))
 
 
 def _note(text: str) -> None:
-    """Write text to stderr; a closed stderr drops it."""
+    """Write text to stderr; a closed or failing stderr drops it."""
     if sys.stderr is not None:
-        sys.stderr.write(text)
+        with suppress(OSError):
+            sys.stderr.write(text)
 
 
 def _write_pairs(path: str, header: str, pairs) -> None:
@@ -201,6 +230,7 @@ def cmd_gen(args) -> int:
 
 def cmd_test(args) -> int:
     config, _ = _resolve_config(args)
+    _keep_freed_heap()
     report = run_battery(
         config,
         args.sequences,

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from chaosbits import (
     phase_distance_tail_bound,
     power_spectrum,
 )
+from chaosbits.analysis import _lagged_sums
 
 
 def random_bits(n, seed):
@@ -167,6 +169,17 @@ def test_correlation_matches_per_lag_reference(case):
         assert auto.degenerate is False
         assert auto.values[0] == 1.0
         assert auto.values == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, max_lag", [(1000, 10), (4096, 1), (100000, 1000)])
+def test_autocorrelation_sums_transform_once_bit_exactly(n, max_lag):
+    # One transform of the input reused for both factors gives the bits
+    # the two-transform expression gives.
+    x = 2.0 * np.array(random_bits(n, n), dtype=np.float64) - 1.0
+    a = x - x.mean()
+    size = 1 << (n + max_lag - 1).bit_length()
+    two = np.fft.irfft(np.conj(np.fft.rfft(a, size)) * np.fft.rfft(a, size), size)[: max_lag + 1]
+    assert np.array_equal(_lagged_sums(a, a, max_lag), two)
 
 
 # -- power spectrum --------------------------------------------------------

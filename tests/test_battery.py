@@ -19,6 +19,7 @@ from chaosbits import (
     block_frequency,
     cumulative_sums,
     frequency_monobit,
+    generate_bits,
     longest_run,
     p_uniformity,
     report_to_csv,
@@ -28,7 +29,7 @@ from chaosbits import (
     serial,
     spectral_dft,
 )
-from chaosbits.battery import _longest_runs, _pattern_counts
+from chaosbits.battery import _longest_runs, _pattern_counts, _run_all_tests
 
 # Frozen reference values (brute-force/high-precision oracles, separate
 # session).  Implementation agreement is required to 1e-12 relative.
@@ -429,6 +430,25 @@ def test_pattern_counts_match_per_length_reference(case):
     assert len(counts) == m
     for i, c in enumerate(counts):
         np.testing.assert_array_equal(c, reference_pattern_counts(b, m - i))
+
+
+@pytest.mark.parametrize("serial_m, apen_m", [(10, 10), (12, 3), (2, 9), (5, 4)])
+def test_battery_shares_one_pattern_table_bit_exactly(serial_m, apen_m):
+    # The battery counts max(serial_m, apen_m + 1)-bit patterns once and
+    # folds them for both tests; every result equals the standalone one.
+    seq = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 1 << 17)
+    results = _run_all_tests(seq, False, 20000, serial_m, apen_m)
+    assert results[-3:] == [*serial(seq, serial_m), approximate_entropy(seq, apen_m)]
+
+
+def test_battery_checks_both_pattern_lengths_before_counting():
+    # Both too long for the input: serial's message comes first, as when
+    # the tests run one by one.
+    seq = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 4096)
+    with pytest.raises(ValueError, match="^serial: sequence length 4096 is below the minimum 8192"):
+        _run_all_tests(seq, True, 400, 14, 13)
+    with pytest.raises(ValueError, match="^approximate-entropy: sequence length 4096 is below the minimum 8192"):
+        _run_all_tests(seq, True, 400, 3, 13)
 
 
 # -- p-value range property over all tests -----------------------------------

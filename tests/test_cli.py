@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import errno
 import gc
+import io
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +227,32 @@ def test_gen_reuses_its_pages_across_chunks():
     faults = [int(v) for v in probe.stdout.split()]
     assert len(faults) == 2
     assert max(faults) <= 128, faults
+
+
+# Runs one test command to warm the process up, then prints the minor
+# page faults of a 2-sequence and a 6-sequence command to stderr.
+BATTERY_FAULT_PROBE = """
+import resource, sys
+from chaosbits.cli import main
+
+argv = ["test", "--scheme", "scheme-1", "--seed", "484076", "--length", "200000", "--sequences"]
+main(argv + ["1"])
+for n in ("2", "6"):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    main(argv + [n])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="test tunes glibc's malloc")
+def test_battery_reuses_its_pages_across_sequences():
+    # Each 2e5-bit sequence's temporaries (spectral's rfft among them) are
+    # mapped and faulted in afresh, ~1,700 pages a sequence, unless malloc
+    # keeps them in the heap for the next sequence.
+    probe = subprocess.run([sys.executable, "-c", BATTERY_FAULT_PROBE], env=child_env(),
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
+    two, six = (int(v) for v in probe.stderr.split())
+    assert six - two <= 500, (two, six)
 
 
 def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):
@@ -472,6 +501,27 @@ def test_closed_stderr_drops_messages(tmp_path, capsys, monkeypatch):
     assert main(["gen", *SEEDED, "--count", "8", "--out", str(out)]) == 0
     assert out.read_text() == "01100010\n"
     assert capsys.readouterr().out == ""
+
+
+def test_failing_stderr_drops_messages(tmp_path, monkeypatch):
+    # fd 2 open but not writable: each message is dropped, the exit code kept.
+    class FailingStream:
+        def write(self, text):
+            raise OSError(errno.EBADF, "Bad file descriptor")
+
+    monkeypatch.setattr(sys, "stderr", FailingStream())
+    assert main(["cycle", *SEEDED, "--budget", "0"]) == 2
+    out = tmp_path / "bits.txt"
+    assert main(["gen", *SEEDED, "--count", "8", "--out", str(out)]) == 0
+    assert out.read_text() == "01100010\n"
+
+
+def test_text_only_stdout_exit_3(capsys):
+    # A stdout with no byte layer cannot take the report: an I/O error, not a traceback.
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(["distance", "--e-a", "10", "--e-b", "11", "--s-a", "1", "--s-b", "2"]) == 3
+    assert text.getvalue() == ""
+    assert capsys.readouterr().err == "error: [Errno 9] standard output takes no bytes\n"
 
 
 def test_degenerate_seed_exit_3(capsys):
