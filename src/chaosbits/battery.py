@@ -439,6 +439,25 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
 _MIN_P_VALUES = 55
 
 
+def _few_p_values(size: int) -> str:
+    """The note on a P_T read from fewer than _MIN_P_VALUES P-values."""
+    return (f"p_uniformity: only {size} P-values; at least {_MIN_P_VALUES} are recommended "
+            "for a meaningful uniformity reading")
+
+
+def _p_uniformity(ps: np.ndarray) -> float:
+    """p_uniformity of a float64 array, without the warning on few values."""
+    if ps.size == 0:
+        raise ValueError("p_uniformity: empty P-value collection")
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also rejects NaN
+        raise ValueError("p_uniformity: P-values must lie in [0,1]")
+    idx = np.clip((ps * 10).astype(np.int64), 0, 9)
+    counts = np.bincount(idx, minlength=10)
+    expected = ps.size / 10.0
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return gammainc_upper(4.5, chi2 / 2.0)
+
+
 def p_uniformity(p_values) -> float:
     """Uniformity P-value (P_T) of a collection of P-values.
 
@@ -449,22 +468,10 @@ def p_uniformity(p_values) -> float:
     The result is invariant under permutation of the input.
     """
     ps = np.asarray(list(p_values), dtype=np.float64)
-    if ps.size == 0:
-        raise ValueError("p_uniformity: empty P-value collection")
-    if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also rejects NaN
-        raise ValueError("p_uniformity: P-values must lie in [0,1]")
+    p_t = _p_uniformity(ps)
     if ps.size < _MIN_P_VALUES:
-        warnings.warn(
-            f"p_uniformity: only {ps.size} P-values; at least {_MIN_P_VALUES} are recommended "
-            "for a meaningful uniformity reading",
-            UserWarning,
-            stacklevel=2,
-        )
-    idx = np.clip((ps * 10).astype(np.int64), 0, 9)
-    counts = np.bincount(idx, minlength=10)
-    expected = ps.size / 10.0
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return gammainc_upper(4.5, chi2 / 2.0)
+        warnings.warn(_few_p_values(ps.size), UserWarning, stacklevel=2)
+    return p_t
 
 
 @dataclass(frozen=True)
@@ -576,9 +583,7 @@ def run_battery(
         for result in _run_all_tests(seq, relaxed, block_len, serial_m, apen_m):
             rows.setdefault(result.test_name, []).append(result)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        p_t = {name: p_uniformity([r.p_value for r in results]) for name, results in rows.items()}
+    p_t = {name: _p_uniformity(np.array([r.p_value for r in results])) for name, results in rows.items()}
     for mean_name, components in _MEAN_ROWS.items():
         p_t[mean_name] = sum(p_t[c] for c in components) / len(components)
     entries = tuple(
@@ -592,14 +597,16 @@ def run_battery(
         for name, p in sorted(p_t.items())
     )
     notes = ["relaxed mode: recommended minimum lengths are not enforced"] if relaxed else []
-    notes += [str(w.message) for w in caught]
+    if n_sequences < _MIN_P_VALUES:
+        # Every row holds one P-value per sequence, so one note covers them all.
+        notes.append(_few_p_values(n_sequences))
 
     return BatteryReport(
         entries=entries,
         n_sequences=n_sequences,
         seq_len=seq_len,
         relaxed=relaxed,
-        warnings=tuple(dict.fromkeys(notes)),
+        warnings=tuple(notes),
         config_text=config_to_text(config),
     )
 

@@ -150,12 +150,14 @@ def keystream_bytes(config: GeneratorConfig, count: int) -> bytes:
     """First ``count`` keystream bytes of a fresh generator.
 
     Packs 8*count generated bits with the first-emitted bit in the most
-    significant position of byte 0.
+    significant position of byte 0.  The bits are read and packed in
+    the generator's chunks, so memory grows with count by packed bytes
+    only, never by the unpacked bits, one byte each.
     """
     count = require_int(count, "keystream_bytes: count", 0)
     if count == 0:
         return b""
-    return pack_bits(ChaoticBitGenerator(config).bits(8 * count))
+    return b"".join(pack_bits(bits) for bits in ChaoticBitGenerator(config).chunks(8 * count, 8))
 
 
 def xor_cipher(image: GrayscaleImage, config: GeneratorConfig) -> GrayscaleImage:

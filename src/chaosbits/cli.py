@@ -65,16 +65,6 @@ from .generator import (
 
 __all__ = ["SCHEMES", "main"]
 
-# Bits gen generates, renders and writes at a time (before rounding to
-# whole lines or bytes), so its memory does not grow with --count.  At
-# 2^16 bits the per-chunk buffers (the bits, the unpacked rows, the
-# ASCII lines) fit in L2 and stay under glibc's default 128 KiB mmap
-# threshold (the unpacked rows of N < 5 cells exceed it once, and glibc
-# then raises it), so malloc serves them from the heap and each chunk
-# reuses the pages the previous one freed instead of faulting in fresh
-# ones: 1e8 ASCII bits fault no more pages than 1e6.
-GEN_CHUNK_BITS = 1 << 16
-
 
 def _time_seed() -> int:
     # Microsecond fractional part of epoch time, 6 decimal digits.  Values
@@ -217,11 +207,8 @@ def cmd_gen(args) -> int:
     ascii_out = args.format == "ascii"
     # Whole lines (ASCII) or whole bytes (raw) per chunk, so each chunk
     # renders alone; raw output ignores --wrap.
-    step = (args.wrap or 1) if ascii_out else 8
-    chunk = max(GEN_CHUNK_BITS // step, 1) * step
     with _open_output(args.out) as fh:
-        for start in range(0, args.count, chunk):
-            bits = gen.bits(min(chunk, args.count - start))
+        for bits in gen.chunks(args.count, (args.wrap or 1) if ascii_out else 8):
             fh.write(_ascii_codes(bits, args.wrap) if ascii_out else pack_bits(bits))
         if ascii_out and args.count and not args.wrap:
             fh.write(b"\n")

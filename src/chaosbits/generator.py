@@ -343,6 +343,18 @@ class TranscriptDriver:
         return ("transcript", self._gi, self._si)
 
 
+# Bits a chunks() piece reads at a time (before rounding to whole
+# steps), so reading a long stream takes memory that does not grow with
+# its length.  At 2^16 bits the per-piece buffers (the bits, the
+# unpacked rows, the rendered or packed output) fit in L2 and stay under
+# glibc's default 128 KiB mmap threshold (the unpacked rows of N < 5
+# cells exceed it once, and glibc then raises it), so malloc serves them
+# from the heap and each piece reuses the pages the previous one freed
+# instead of faulting in fresh ones: 1e8 ASCII bits fault no more pages
+# than 1e6.
+CHUNK_BITS = 1 << 16
+
+
 # The stop key of an _advance call without one: no state equals it, as
 # a logistic y is never NaN, a transcript key is a tuple, and NaN
 # compares unequal to everything (also in C, built without -ffast-math).
@@ -564,6 +576,21 @@ class ChaoticBitGenerator:
         buffer = self._pending_bits
         self._pending_bits = buffer[count:]
         return buffer[:count]
+
+    def chunks(self, count: int, step: int = 1) -> Iterator[np.ndarray]:
+        """The next ``count`` bits as consecutive bits() results, in bounded pieces.
+
+        Each piece holds about CHUNK_BITS bits, a whole number of
+        ``step`` bits (a line of text, a byte), so it can be rendered
+        alone; a step longer than CHUNK_BITS makes a piece of one step,
+        and only the last piece may be shorter.  The pieces are read as
+        the iterator is advanced: when the driver fails, the pieces
+        already yielded stand and the error propagates, as from bits().
+        """
+        count = require_int(count, "chunks: count", 0)
+        step = require_int(step, "chunks: step", 1)
+        piece = max(CHUNK_BITS // step, 1) * step
+        return (self.bits(min(piece, count - start)) for start in range(0, count, piece))
 
 
 def generate_bits(config: GeneratorConfig, count: int, *, driver=None) -> np.ndarray:

@@ -657,8 +657,8 @@ def test_battery_text_report_shape():
 
 
 def test_battery_relaxed_flag_recorded():
-    # The relaxed note comes first, then each distinct p_uniformity
-    # message once, although all 10 verdict rows raised it.
+    # The relaxed note comes first, then the p_uniformity message once,
+    # although it holds for all 10 verdict rows.
     report = small_battery()
     assert report.relaxed is True
     assert report.warnings == (

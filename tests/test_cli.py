@@ -170,7 +170,7 @@ def test_gen_streamed_chunks_equal_one_shot_padded_rows(tmp_path, monkeypatch, f
 
 def check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_set):
     """gen in 24-bit chunks writes what one-shot generation renders."""
-    monkeypatch.setattr(chaosbits.cli, "GEN_CHUNK_BITS", 24)
+    monkeypatch.setattr(chaosbits.generator, "CHUNK_BITS", 24)
     requests = []
     real_bits = ChaoticBitGenerator.bits
 
@@ -184,7 +184,7 @@ def check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_se
                  "--seed", "484076", "--count", str(count),
                  "--format", fmt, "--wrap", str(wrap), "--out", str(out)])
     assert code == 0
-    # A chunk grows past GEN_CHUNK_BITS only to hold one whole ASCII line.
+    # A chunk grows past CHUNK_BITS only to hold one whole ASCII line.
     assert max(requests, default=0) <= (max(24, wrap) if fmt == "ascii" else 24)
     bits = generate_bits(GeneratorConfig(n_cells, m_set, SeedSpec.from_time(484076)), count)
     if fmt == "raw":
@@ -258,7 +258,7 @@ def test_battery_reuses_its_pages_across_sequences():
 def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):
     # The transcript drives 15 blocks after the seed block, 64 bits in all:
     # two 24-bit chunks are written, the third runs the transcript out.
-    monkeypatch.setattr(chaosbits.cli, "GEN_CHUNK_BITS", 24)
+    monkeypatch.setattr(chaosbits.generator, "CHUNK_BITS", 24)
     m_seq, s_seq = (1,) * 15, (1, 2, 3, 4) * 3 + (1, 2, 3)
     transcript = tmp_path / "t.txt"
     transcript.write_text("m=" + ",".join(map(str, m_seq)) + "\ns=" + ",".join(map(str, s_seq)) + "\n")
@@ -530,6 +530,19 @@ def test_degenerate_seed_exit_3(capsys):
     assert "re-seed" in capsys.readouterr().err
 
 
+def test_encrypt_seed_dead_mid_keystream_exit_3(tmp_path, capsys):
+    # A 256x256 image takes 524,288 keystream bits; seed 484108 dies after
+    # 461,205.  The keystream is read in chunks, but no byte is written
+    # before all of it is made.
+    plain = tmp_path / "plain.pgm"
+    write_pgm(GrayscaleImage(256, 256, bytes(256 * 256)), str(plain))
+    out = tmp_path / "enc.pgm"
+    code = main(["encrypt", "--scheme", "scheme-6", "--seed", "484108", "--in", str(plain), "--out", str(out)])
+    assert code == 3
+    assert "seed is dead" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exhausted_transcript_exit_3(tmp_path, transcript_file):
     out = tmp_path / "bits.txt"
     code = main([
@@ -723,6 +736,34 @@ def test_encrypt_to_stdout_writes_the_file_bytes(tmp_path, fixture_pgm, monkeypa
     assert main(["encrypt", *SEEDED, "--in", fixture_pgm, "--out", "-"]) == 0
     assert capsysbinary.readouterr().out == enc.read_bytes()
     assert not (tmp_path / "-").exists()
+
+
+# Encrypts a 64 KiB and then a 1 MiB image in one fresh interpreter and
+# prints the peak resident set (VmHWM, kB) after each.
+ENCRYPT_PEAK_PROBE = """
+import os, sys
+from chaosbits.cli import main
+
+for path in sys.argv[1:]:
+    assert main(["encrypt", "--scheme", "scheme-6", "--seed", "484200", "--in", path, "--out", os.devnull]) == 0
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_encrypt_peak_memory_is_bounded_by_the_image(tmp_path):
+    # 16 times the pixels may raise the peak by at most 8 MiB: a keystream
+    # read in chunks raises it ~4 MiB, one read whole ~24 MiB.
+    paths = []
+    for side in (256, 1024):
+        path = tmp_path / f"{side}.pgm"
+        write_pgm(GrayscaleImage(side, side, bytes(side * side)), str(path))
+        paths.append(str(path))
+    probe = subprocess.run([sys.executable, "-c", ENCRYPT_PEAK_PROBE, *paths], env=child_env(),
+                           capture_output=True, text=True, check=True)
+    small, large = (int(v) for v in probe.stdout.split())
+    assert large - small <= 8 * 1024, (small, large)
 
 
 def test_histogram_subcommand(tmp_path, fixture_pgm, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaosbits.generator
 from chaosbits import (
     SCHEMES,
     ChaoticBitGenerator,
@@ -246,6 +247,8 @@ def test_seedspec_forms():
         SeedSpec()  # neither form
     with pytest.raises(ValueError):
         SeedSpec.explicit((1, 2), 0.3)  # non-bit component
+    with pytest.raises(ValueError, match="non-empty"):
+        SeedSpec.explicit((), 0.3)  # no components
 
 
 @pytest.mark.parametrize("y0", [0.0, 1.0, 0.25, 0.5, 0.75, -0.2, 1.7])
@@ -407,6 +410,30 @@ def test_bits_split_equals_single_call(cfg, sizes):
         parts.append(part.tolist())
         part ^= 1  # a caller writing into its array changes no later output
     assert sum(parts, []) == generate_bits(cfg, sum(sizes)).tolist()
+
+
+@pytest.mark.parametrize("count, step, sizes", [
+    (200, 1, [64, 64, 64, 8]),
+    (200, 8, [64, 64, 64, 8]),
+    (200, 7, [63, 63, 63, 11]),  # whole 7-bit steps; the last piece holds the rest
+    (200, 100, [100, 100]),  # a step longer than a chunk makes a piece of one step
+    (64, 3, [63, 1]),
+    (0, 8, []),
+])
+def test_chunks_are_consecutive_bits_calls(monkeypatch, count, step, sizes):
+    monkeypatch.setattr(chaosbits.generator, "CHUNK_BITS", 64)
+    cfg = GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076))
+    pieces = list(ChaoticBitGenerator(cfg).chunks(count, step))
+    assert [p.size for p in pieces] == sizes
+    assert np.concatenate([*pieces, np.zeros(0, np.uint8)]).tolist() == generate_bits(cfg, count).tolist()
+
+
+@pytest.mark.parametrize("count, step", [(-1, 1), (8, 0), (8, 1.5), (True, 1)])
+def test_chunks_rejects_bad_arguments_before_reading(count, step):
+    gen = ChaoticBitGenerator(GeneratorConfig(5, (14, 15), SeedSpec.from_time(484076)))
+    with pytest.raises(ValueError):
+        gen.chunks(count, step)
+    assert gen.state.blocks_emitted == 1  # only the seed block
 
 
 def test_determinism():
