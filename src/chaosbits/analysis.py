@@ -166,6 +166,18 @@ def power_spectrum(bits) -> PowerSpectrum:
     Emits bins 0..n//2 (DC through Nyquist).  Requires at least 64
     bits; below that a spectrum is too coarse to summarize.
     """
+    power, flatness, time_energy, spectral_energy = _spectrum(bits)
+    return PowerSpectrum(
+        bins=tuple(range(power.size)),
+        power=tuple(power.tolist()),
+        flatness=flatness,
+        time_energy=time_energy,
+        spectral_energy=spectral_energy,
+    )
+
+
+def _spectrum(bits) -> tuple[np.ndarray, float, float, float]:
+    """power_spectrum's powers as an array, then its flatness, time energy and spectral energy."""
     x = 2.0 * require_bits(bits) - 1.0
     n = x.size
     if n < 64:
@@ -173,7 +185,6 @@ def power_spectrum(bits) -> PowerSpectrum:
     spectrum = np.fft.rfft(x)
     power = np.abs(spectrum) ** 2
     half = n // 2
-    bins = tuple(range(half + 1))
     power = power[: half + 1]
     # Full-spectrum energy from the half spectrum: every bin except DC
     # (and Nyquist, for even n) appears twice in the full transform.
@@ -188,13 +199,7 @@ def power_spectrum(bits) -> PowerSpectrum:
         flatness = float(non_dc.max()) / mean_non_dc
     else:
         flatness = math.inf
-    return PowerSpectrum(
-        bins=bins,
-        power=tuple(power.tolist()),
-        flatness=flatness,
-        time_energy=time_energy,
-        spectral_energy=spectral_energy,
-    )
+    return power, flatness, time_energy, spectral_energy
 
 
 class _BudgetHit(Exception):

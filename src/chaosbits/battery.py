@@ -15,6 +15,15 @@ the standard recommended sequence lengths by default; relaxed mode
 lifts the recommendations (never the formulas) so short desk-scale
 sequences can be examined, at the cost of approximation quality of the
 reference distributions.
+
+The counting tests read the sequence packed eight bits to a byte, first
+bit in the most significant position: monobit, block frequency and runs
+count ones with a byte popcount table, cumulative sums add each byte's
+highest and lowest point, from a byte table, to the walk after the
+byte, and serial and approximate entropy cut their patterns out of
+big-endian words of the packed bytes.  The statistics come from the
+same integers as a bit by bit count, so every P-value is the same.  A
+battery run validates and packs each sequence once for all the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import erfc
 
 import numpy as np
@@ -153,6 +163,91 @@ def gammainc_upper(a: float, x: float) -> float:
     raise ArithmeticError(f"gammainc_upper: no convergence in {limit} terms at a={a!r}, x={x!r}")
 
 
+# Byte tables, indexed by a packed byte.  _BYTE_WALK[v, j] is the +/-1
+# walk over byte v's first j+1 bits; _WALK_TOP and _WALK_BOTTOM are the
+# walk's highest and lowest value inside the byte, less its value after
+# the whole byte.  _HIGH_BITS[r] keeps a byte's first r bits.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
+_BYTE_WALK = np.cumsum(2 * _BYTE_BITS.astype(np.int64) - 1, axis=1)
+_WALK_TOP = _BYTE_WALK.max(axis=1) - _BYTE_WALK[:, -1]
+_WALK_BOTTOM = _BYTE_WALK.min(axis=1) - _BYTE_WALK[:, -1]
+_HIGH_BITS = ((0xFF00 >> np.arange(9)) & 0xFF).astype(np.uint8)
+
+
+class _Sequence:
+    """One validated bit sequence, and its bits packed on first use.
+
+    np.packbits puts the first bit in the most significant position and
+    pads the last byte with zeros, which add no ones.
+    """
+
+    def __init__(self, bits):
+        self.bits = require_bits(bits)
+        self.n = self.bits.size
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        return np.packbits(self.bits)
+
+    @cached_property
+    def ones_before(self) -> np.ndarray:
+        """Entry j counts the ones in bytes 0..j-1: a running popcount from 0."""
+        running = np.zeros(self.packed.size + 1, dtype=np.int64)
+        np.cumsum(np.take(_POPCOUNT, self.packed), dtype=np.int64, out=running[1:])
+        return running
+
+    @property
+    def ones(self) -> int:
+        return int(self.ones_before[-1])
+
+
+def _sequence(bits) -> _Sequence:
+    # The tests take a _Sequence from _run_all_tests, which validates and
+    # packs each sequence once, and raw bits from every other caller.
+    return bits if isinstance(bits, _Sequence) else _Sequence(bits)
+
+
+def _block_ones(seq: _Sequence, block_len: int) -> np.ndarray:
+    # Ones in each whole block_len-bit block: the difference of the ones
+    # before its two edges, each the whole bytes' running popcount plus
+    # the first bits of the byte the edge cuts (none when it cuts none).
+    edges = np.arange(seq.n // block_len + 1, dtype=np.int64) * block_len
+    whole = edges >> 3
+    cut = seq.packed[np.minimum(whole, seq.packed.size - 1)] & _HIGH_BITS[edges & 7]
+    return np.diff(seq.ones_before[whole] + np.take(_POPCOUNT, cut))
+
+
+def _changes(seq: _Sequence) -> int:
+    # Positions i >= 1 with b[i] != b[i-1].  Bit i of p ^ (p >> 1, each
+    # byte's top bit carried in from the byte before) is b[i] ^ b[i-1];
+    # bit 0 compares b[0] with itself, and the bits from n on are cut off.
+    p = seq.packed
+    changes = p >> 1
+    changes[1:] |= p[:-1] << 7
+    changes[0] |= p[0] & 0x80
+    np.bitwise_xor(changes, p, out=changes)
+    changes[-1] &= _HIGH_BITS[(seq.n - 1) % 8 + 1]
+    return int(np.take(_POPCOUNT, changes).sum())
+
+
+def _walk_extremes(seq: _Sequence) -> tuple[int, int]:
+    # The highest and lowest partial sum of the +/-1 walk over the empty
+    # prefix and the first n-1 steps: each whole byte's extremes from the
+    # byte tables, added to the walk after it (2 * ones - bits so far),
+    # then a last partial byte's steps one by one.
+    whole, rest = divmod(seq.n - 1, 8)
+    head = seq.packed[:whole]
+    after = 2 * seq.ones_before[1 : whole + 1] - np.arange(8, 8 * whole + 1, 8)
+    high = int((after + np.take(_WALK_TOP, head)).max(initial=0))
+    low = int((after + np.take(_WALK_BOTTOM, head)).min(initial=0))
+    if rest:
+        tail = _BYTE_WALK[seq.packed[whole], :rest] + (2 * int(seq.ones_before[whole]) - 8 * whole)
+        high = max(high, int(tail.max()))
+        low = min(low, int(tail.min()))
+    return high, low
+
+
 def _require_length(n: int, strict_min: int, relaxed_min: int, relaxed: bool, test: str) -> None:
     need = relaxed_min if relaxed else strict_min
     if n < need:
@@ -166,10 +261,10 @@ def frequency_monobit(bits, relaxed: bool = False) -> TestResult:
     The statistic is |sum of (2b-1)| / sqrt(n); its P-value is
     erfc(statistic / sqrt(2)).
     """
-    b = require_bits(bits)
-    n = b.size
+    seq = _sequence(bits)
+    n = seq.n
     _require_length(n, 100, 1, relaxed, "monobit")
-    s = 2 * int(b.sum()) - n
+    s = 2 * seq.ones - n
     s_obs = abs(s) / math.sqrt(n)
     p = erfc(s_obs / math.sqrt(2.0))
     return TestResult("monobit", s_obs, p, {"n": n})
@@ -183,8 +278,8 @@ def block_frequency(bits, block_len: int = 20000, relaxed: bool = False) -> Test
     block are discarded.  block_len below 20 is rejected unless relaxed
     (the chi-square approximation degrades for small blocks).
     """
-    b = require_bits(bits)
-    n = b.size
+    seq = _sequence(bits)
+    n = seq.n
     block_len = require_int(block_len, "block_frequency: block_len", 1)
     if block_len < 20 and not relaxed:
         raise ValueError(
@@ -193,7 +288,7 @@ def block_frequency(bits, block_len: int = 20000, relaxed: bool = False) -> Test
     n_blocks = n // block_len
     if n_blocks == 0:
         raise ValueError(f"block_frequency: sequence of {n} bits holds no {block_len}-bit block")
-    props = b[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
+    props = _block_ones(seq, block_len) / block_len
     chi2 = 4.0 * block_len * float(np.sum((props - 0.5) ** 2))
     p = gammainc_upper(n_blocks / 2.0, chi2 / 2.0)
     return TestResult("block-frequency", chi2, p, {"M": block_len, "n_blocks": n_blocks})
@@ -206,11 +301,11 @@ def runs_test(bits, relaxed: bool = False) -> TestResult:
     gate fails the P-value is reported as 0 with a gate flag in the
     parameters, mirroring the standard's shortcut.
     """
-    b = require_bits(bits)
-    n = b.size
+    seq = _sequence(bits)
+    n = seq.n
     _require_length(n, 100, 2, relaxed, "runs")
-    pi = float(b.mean())
-    v_obs = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
+    pi = seq.ones / n
+    v_obs = 1 + _changes(seq)
     tau = 2.0 / math.sqrt(n)
     if abs(pi - 0.5) >= tau:
         return TestResult("runs", float(v_obs), 0.0, {"pi": pi, "gate_failed": True})
@@ -255,7 +350,7 @@ def longest_run(bits) -> TestResult:
     input bits, per the standard's regime table.  Sequences shorter
     than 128 bits are rejected (no regime applies).
     """
-    b = require_bits(bits)
+    b = _sequence(bits).bits
     n = b.size
     if n < 128:
         raise ValueError(f"longest-run: sequence length {n} is below the minimum 128")
@@ -279,11 +374,13 @@ def spectral_dft(bits, relaxed: bool = False) -> TestResult:
     below the 95% threshold sqrt(n * ln(1/0.05)) and normalizes the
     count against its expectation.
     """
-    b = require_bits(bits)
+    b = _sequence(bits).bits
     n = b.size
     _require_length(n, 1000, 2, relaxed, "spectral")
-    x = 2.0 * b - 1.0
-    mags = np.abs(np.fft.rfft(x))[: n // 2]
+    x = np.multiply(b, 2.0)
+    x -= 1.0
+    # The magnitudes overwrite the +/-1 input, which the rfft has read.
+    mags = np.abs(np.fft.rfft(x)[: n // 2], out=x[: n // 2])
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mags < threshold))
@@ -328,16 +425,13 @@ def cumulative_sums(bits, relaxed: bool = False) -> tuple[TestResult, TestResult
     walk's partial sums are s[-1] - s[i] for the positions i before the
     last step, the empty prefix (sum 0) included.
     """
-    b = require_bits(bits)
-    n = b.size
+    seq = _sequence(bits)
+    n = seq.n
     _require_length(n, 100, 1, relaxed, "cumulative-sums")
-    # |s| <= n, so int32 holds every walk below 2^31 steps.
-    walk = np.int32 if n < 1 << 31 else np.int64
-    s = np.cumsum(2 * b.astype(walk) - 1, dtype=walk)
-    last = int(s[-1])
-    head = s[:-1]
-    forward = max(int(s.max()), -int(s.min()))
-    backward = max(last - int(head.min(initial=0)), int(head.max(initial=0)) - last)
+    high, low = _walk_extremes(seq)
+    last = 2 * seq.ones - n
+    forward = max(high, last, -low, -last)
+    backward = max(last - low, high - last)
     out = []
     for name, z in (("cumulative-sums-forward", forward), ("cumulative-sums-backward", backward)):
         p = _cusum_p(z, n)
@@ -345,22 +439,37 @@ def cumulative_sums(bits, relaxed: bool = False) -> tuple[TestResult, TestResult
     return out[0], out[1]
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
+def _pattern_counts(bits, m: int) -> list[np.ndarray]:
     # Wraparound pattern counts: entry i counts the (m-i)-bit patterns,
-    # for i = 0..m-1.  The sequence is extended by its own first m-1 bits
-    # so every position starts a pattern, and each position's m-bit
-    # pattern is built by m shift-or steps on a uint32 index.  The callers
-    # require n >= 2^(m-1), so the table holds at most 2n counters and m
-    # stays <= 32 for any input below 2^32 bits.  The (k-1)-bit pattern
-    # at a position is the prefix of its k-bit pattern, so the shorter
-    # counts are folds of the longer ones, exact in integers.
-    n = b.size
-    ext = np.concatenate([b, b[: m - 1]])
-    idx = np.zeros(n, dtype=np.uint32)
-    for j in range(m):
-        idx <<= 1
-        idx |= ext[j : j + n]
-    counts = [np.bincount(idx, minlength=1 << m)]
+    # for i = 0..m-1.  The packed sequence is extended by its own first
+    # m-1 bits so every position starts a pattern.  Word j holds the 64
+    # bits from byte j on, big-endian, so the m-bit pattern at position
+    # 8j + phase is the word shifted right by 64 - phase - m and masked:
+    # one bincount per phase.  The callers require n >= 2^(m-1), so the
+    # table holds at most 2n counters and m stays <= 32 for any input
+    # below 2^32 bits.  The (k-1)-bit pattern at a position is the prefix
+    # of its k-bit pattern, so the shorter counts are folds of the longer
+    # ones, exact in integers.
+    seq = _sequence(bits)
+    n, size = seq.n, seq.packed.size
+    # The first m-1 bits are ORed in from bit n on; the zero bytes after
+    # them let every word read 8 bytes.
+    ext = np.zeros(size + 8, dtype=np.uint8)
+    ext[:size] = seq.packed
+    wrap, at = m - 1, n % 8
+    first = int.from_bytes(seq.packed[: (wrap + 7) // 8].tobytes(), "big") >> (-wrap % 8)
+    span = (at + wrap + 7) // 8
+    ext[n // 8 : n // 8 + span] |= np.frombuffer(
+        (first << (8 * span - at - wrap)).to_bytes(span, "big"), dtype=np.uint8)
+    words = np.ndarray((size,), dtype=">u8", buffer=ext, strides=(1,)).astype(np.uint64)
+    table = np.zeros(1 << m, dtype=np.intp)
+    for phase in range(8):
+        starts = (n - phase + 7) // 8
+        # Below 2^39 after the shift, so a view as int64, which bincount takes.
+        idx = (words[:starts] >> np.uint64(64 - phase - m)).view(np.int64)
+        idx &= (1 << m) - 1
+        table += np.bincount(idx, minlength=1 << m)
+    counts = [table]
     while len(counts) < m:
         counts.append(counts[-1][0::2] + counts[-1][1::2])
     return counts
@@ -400,9 +509,9 @@ def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestRe
     mode still needs n >= 2^(m-1), so the 2^m pattern counters never
     outnumber 2n.
     """
-    b = require_bits(bits)
-    m = _serial_m(b.size, m, relaxed)
-    return _serial_results(_pattern_counts(b, m), b.size, m)
+    seq = _sequence(bits)
+    m = _serial_m(seq.n, m, relaxed)
+    return _serial_results(_pattern_counts(seq, m), seq.n, m)
 
 
 def _apen_m(n: int, m, relaxed: bool) -> int:
@@ -431,9 +540,9 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     pattern proportions.  Relaxed mode still needs n >= 2^m, so the
     2^(m+1) pattern counters never outnumber 2n.
     """
-    b = require_bits(bits)
-    m = _apen_m(b.size, m, relaxed)
-    return _apen_result(_pattern_counts(b, m + 1), b.size, m)
+    seq = _sequence(bits)
+    m = _apen_m(seq.n, m, relaxed)
+    return _apen_result(_pattern_counts(seq, m + 1), seq.n, m)
 
 
 _MIN_P_VALUES = 55
@@ -511,24 +620,24 @@ class BatteryReport:
 
 
 def _run_all_tests(bits, relaxed: bool, block_len: int, serial_m: int, apen_m: int) -> list[TestResult]:
+    seq = _Sequence(bits)
     results = [
-        frequency_monobit(bits, relaxed),
-        block_frequency(bits, block_len, relaxed),
-        runs_test(bits, relaxed),
-        longest_run(bits),
-        spectral_dft(bits, relaxed),
+        frequency_monobit(seq, relaxed),
+        block_frequency(seq, block_len, relaxed),
+        runs_test(seq, relaxed),
+        longest_run(seq),
+        spectral_dft(seq, relaxed),
     ]
-    results.extend(cumulative_sums(bits, relaxed))
+    results.extend(cumulative_sums(seq, relaxed))
     # One pattern table for serial and approximate entropy: the shorter
     # patterns' counts are exact folds of the longer ones', so each test
     # reads the same counts it would count itself.  Both length checks
     # run first, in the standalone order.
-    b = require_bits(bits)
-    n = b.size
+    n = seq.n
     serial_m = _serial_m(n, serial_m, relaxed)
     apen_m = _apen_m(n, apen_m, relaxed)
     width = max(serial_m, apen_m + 1)
-    counts = _pattern_counts(b, width)
+    counts = _pattern_counts(seq, width)
     results.extend(_serial_results(counts[width - serial_m:], n, serial_m))
     results.append(_apen_result(counts[width - apen_m - 1:], n, apen_m))
     return results

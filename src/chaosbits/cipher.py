@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import ChaoticBitGenerator, GeneratorConfig, pack_bits, require_int
+from .generator import ChaoticBitGenerator, GeneratorConfig, require_int
 
 __all__ = [
     "GrayscaleImage",
@@ -146,6 +146,23 @@ def histogram(image: GrayscaleImage) -> Histogram:
     return Histogram(bins=tuple(counts.tolist()))
 
 
+def _xor_keystream(buf: bytearray, config: GeneratorConfig) -> None:
+    """XOR the first len(buf) keystream bytes of a fresh generator into buf.
+
+    The bits are read and packed in the generator's chunks, and each
+    packed chunk is XORed in place, so the keystream is never held
+    whole, packed or not.
+    """
+    if not buf:
+        return
+    out = np.frombuffer(buf, dtype=np.uint8)
+    at = 0
+    for bits in ChaoticBitGenerator(config).chunks(8 * len(buf), 8):
+        piece = np.packbits(bits)
+        out[at : at + piece.size] ^= piece
+        at += piece.size
+
+
 def keystream_bytes(config: GeneratorConfig, count: int) -> bytes:
     """First ``count`` keystream bytes of a fresh generator.
 
@@ -154,10 +171,9 @@ def keystream_bytes(config: GeneratorConfig, count: int) -> bytes:
     the generator's chunks, so memory grows with count by packed bytes
     only, never by the unpacked bits, one byte each.
     """
-    count = require_int(count, "keystream_bytes: count", 0)
-    if count == 0:
-        return b""
-    return b"".join(pack_bits(bits) for bits in ChaoticBitGenerator(config).chunks(8 * count, 8))
+    buf = bytearray(require_int(count, "keystream_bytes: count", 0))
+    _xor_keystream(buf, config)
+    return bytes(buf)
 
 
 def xor_cipher(image: GrayscaleImage, config: GeneratorConfig) -> GrayscaleImage:
@@ -165,14 +181,12 @@ def xor_cipher(image: GrayscaleImage, config: GeneratorConfig) -> GrayscaleImage
 
     Dimensions are preserved.  The transform is an involution: applying
     it twice with the same config returns the original image byte for
-    byte.  Decryption is therefore this same function.
+    byte.  Decryption is therefore this same function.  The keystream
+    is XORed into a copy of the pixels chunk by chunk, never held whole.
     """
-    ks = keystream_bytes(config, len(image.pixels))
-    mixed = np.bitwise_xor(
-        np.frombuffer(image.pixels, dtype=np.uint8),
-        np.frombuffer(ks, dtype=np.uint8),
-    )
-    return GrayscaleImage(width=image.width, height=image.height, pixels=mixed.tobytes())
+    pixels = bytearray(image.pixels)
+    _xor_keystream(pixels, config)
+    return GrayscaleImage(width=image.width, height=image.height, pixels=pixels)
 
 
 def chi_square_uniformity(hist: Histogram) -> float:

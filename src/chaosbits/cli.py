@@ -29,12 +29,12 @@ from contextlib import contextmanager, suppress
 
 from .analysis import (
     BudgetExceeded,
+    _spectrum,
     autocorrelation,
     cross_correlation,
     detect_cycle,
     phase_distance,
     phase_distance_tail_bound,
-    power_spectrum,
 )
 from .battery import report_to_csv, report_to_text, run_battery
 from .cipher import (
@@ -247,18 +247,19 @@ def cmd_analyze(args) -> int:
     n = len(bits)
 
     auto = autocorrelation(bits, args.max_lag)
-    spec = power_spectrum(bits)
+    # power_spectrum's numbers, without the per-bin tuples that only --spectrum-csv prints.
+    power, flatness, time_energy, spectral_energy = _spectrum(bits)
     bound = 4.0 / (n ** 0.5)
     tail = [v for v in auto.values[1:] if abs(v) > bound]
-    rel = abs(spec.spectral_energy - spec.time_energy) / spec.time_energy
+    rel = abs(spectral_energy - time_energy) / time_energy
     _write_text("-", f"length: {n}\n"
                 f"autocorrelation: lag0={auto.values[0]:.6f}{' (degenerate input)' if auto.degenerate else ''}\n"
                 f"autocorrelation: {len(tail)} of {args.max_lag} lags exceed 4/sqrt(n)={bound:.6g}\n"
-                f"spectrum: flatness={spec.flatness:.6g} parseval_rel_err={rel:.3g}\n")
+                f"spectrum: flatness={flatness:.6g} parseval_rel_err={rel:.3g}\n")
     if args.acf_csv is not None:
         _write_pairs(args.acf_csv, "lag,value", zip(auto.lags, auto.values))
     if args.spectrum_csv is not None:
-        _write_pairs(args.spectrum_csv, "bin,power", zip(spec.bins, spec.power))
+        _write_pairs(args.spectrum_csv, "bin,power", enumerate(power.tolist()))
     if args.cross_with is not None:
         with open(args.cross_with, "r", encoding="ascii") as fh:
             other = parse_ascii_bits(fh.read())
@@ -318,12 +319,35 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands and their help lines, in the order --help lists them.
+_COMMANDS = {
+    "gen": "generate a bitstream",
+    "test": "run the statistical battery",
+    "analyze": "autocorrelation, cross-correlation and power spectrum",
+    "cycle": "detect the period of the state orbit",
+    "distance": "phase-space distance between two (strategy, cells) points",
+    "encrypt": "one-time-pad a PGM image",
+    "decrypt": "alias of encrypt (the cipher is an involution)",
+    "histogram": "256-bin histogram and uniformity chi-square of a PGM",
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv: only the subcommand argv[0] names, or all of them when it names none."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="chaosbits",
         description="Chaotic-iterations bit generator, statistical battery, orbit analysis, image cipher.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With one subcommand built, the metavar keeps every name in the usage
+    # line that the top parser's errors print, as argparse writes it.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+
+    def add(name: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        return sub.add_parser(name, parents=parents, help=_COMMANDS[name])
 
     # The generator flags, declared once as argparse parents.  Each keyed
     # flag appends its config entry (key, text) to args.entries, so
@@ -351,60 +375,58 @@ def _build_parser() -> argparse.ArgumentParser:
     forced.add_argument_group("generator").add_argument(
         "--transcript", metavar="FILE", help="force explicit drivers from a file with lines m=... and s=...")
 
-    p = sub.add_parser("gen", parents=[generator, forced], help="generate a bitstream")
-    p.add_argument("--cycle-transcript", action="store_true",
-                   help="repeat a forced transcript instead of exhausting it")
-    p.add_argument("--count", type=int, required=True, help="number of bits")
-    p.add_argument("--format", choices=("ascii", "raw"), default="ascii")
-    p.add_argument("--wrap", type=int, default=0, help="wrap ascii output at this many columns (0 = off)")
-    p.add_argument("--out", default="-", help="output file ('-' = stdout)")
-    p.set_defaults(func=cmd_gen)
+    if p := add("gen", generator, forced):
+        p.add_argument("--cycle-transcript", action="store_true",
+                       help="repeat a forced transcript instead of exhausting it")
+        p.add_argument("--count", type=int, required=True, help="number of bits")
+        p.add_argument("--format", choices=("ascii", "raw"), default="ascii")
+        p.add_argument("--wrap", type=int, default=0, help="wrap ascii output at this many columns (0 = off)")
+        p.add_argument("--out", default="-", help="output file ('-' = stdout)")
+        p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("test", parents=[generator], help="run the statistical battery")
-    p.add_argument("--sequences", type=int, default=10, help="number of sequences")
-    p.add_argument("--length", type=int, default=100000, help="bits per sequence")
-    p.add_argument("--relaxed", action="store_true",
-                   help="lift recommended minimum lengths (desk-scale runs)")
-    p.add_argument("--block-len", type=int, default=20000, help="block-frequency block length")
-    p.add_argument("--serial-m", type=int, default=10, help="serial pattern length")
-    p.add_argument("--apen-m", type=int, default=10, help="approximate-entropy pattern length")
-    p.add_argument("--csv", help="also write the report as CSV to this file")
-    p.set_defaults(func=cmd_test)
+    if p := add("test", generator):
+        p.add_argument("--sequences", type=int, default=10, help="number of sequences")
+        p.add_argument("--length", type=int, default=100000, help="bits per sequence")
+        p.add_argument("--relaxed", action="store_true",
+                       help="lift recommended minimum lengths (desk-scale runs)")
+        p.add_argument("--block-len", type=int, default=20000, help="block-frequency block length")
+        p.add_argument("--serial-m", type=int, default=10, help="serial pattern length")
+        p.add_argument("--apen-m", type=int, default=10, help="approximate-entropy pattern length")
+        p.add_argument("--csv", help="also write the report as CSV to this file")
+        p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("analyze", parents=[generator],
-                       help="autocorrelation, cross-correlation and power spectrum")
-    p.add_argument("--in", dest="infile", help="read ascii bits from this file instead of generating")
-    p.add_argument("--count", type=int, help="bits to generate when not reading a file (default 100000)")
-    p.add_argument("--max-lag", type=int, default=1000)
-    p.add_argument("--acf-csv", help="write autocorrelation CSV (lag,value)")
-    p.add_argument("--spectrum-csv", help="write power spectrum CSV (bin,power)")
-    p.add_argument("--cross-with", help="second ascii bit file for cross-correlation")
-    p.add_argument("--ccf-csv", help="write cross-correlation CSV (lag,value)")
-    p.set_defaults(func=cmd_analyze)
+    if p := add("analyze", generator):
+        p.add_argument("--in", dest="infile", help="read ascii bits from this file instead of generating")
+        p.add_argument("--count", type=int, help="bits to generate when not reading a file (default 100000)")
+        p.add_argument("--max-lag", type=int, default=1000)
+        p.add_argument("--acf-csv", help="write autocorrelation CSV (lag,value)")
+        p.add_argument("--spectrum-csv", help="write power spectrum CSV (bin,power)")
+        p.add_argument("--cross-with", help="second ascii bit file for cross-correlation")
+        p.add_argument("--ccf-csv", help="write cross-correlation CSV (lag,value)")
+        p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("cycle", parents=[generator, forced], help="detect the period of the state orbit")
-    p.add_argument("--budget", type=int, default=10 ** 8, help="state-step budget")
-    p.set_defaults(func=cmd_cycle)
+    if p := add("cycle", generator, forced):
+        p.add_argument("--budget", type=int, default=10 ** 8, help="state-step budget")
+        p.set_defaults(func=cmd_cycle)
 
-    p = sub.add_parser("distance", help="phase-space distance between two (strategy, cells) points")
-    p.add_argument("--e-a", required=True, help="first cell vector as a bit string")
-    p.add_argument("--e-b", required=True, help="second cell vector as a bit string")
-    p.add_argument("--s-a", required=True, help="first strategy prefix, comma-separated")
-    p.add_argument("--s-b", required=True, help="second strategy prefix, comma-separated")
-    p.add_argument("--prefix-k", type=int, default=30, help="strategy terms compared")
-    p.set_defaults(func=cmd_distance)
+    if p := add("distance"):
+        p.add_argument("--e-a", required=True, help="first cell vector as a bit string")
+        p.add_argument("--e-b", required=True, help="second cell vector as a bit string")
+        p.add_argument("--s-a", required=True, help="first strategy prefix, comma-separated")
+        p.add_argument("--s-b", required=True, help="second strategy prefix, comma-separated")
+        p.add_argument("--prefix-k", type=int, default=30, help="strategy terms compared")
+        p.set_defaults(func=cmd_distance)
 
-    for name, help_text in (("encrypt", "one-time-pad a PGM image"),
-                            ("decrypt", "alias of encrypt (the cipher is an involution)")):
-        p = sub.add_parser(name, parents=[generator], help=help_text)
+    for name in ("encrypt", "decrypt"):
+        if p := add(name, generator):
+            p.add_argument("--in", dest="infile", required=True, help="input PGM (P5)")
+            p.add_argument("--out", required=True, help="output PGM (P5)")
+            p.set_defaults(func=cmd_crypt)
+
+    if p := add("histogram"):
         p.add_argument("--in", dest="infile", required=True, help="input PGM (P5)")
-        p.add_argument("--out", required=True, help="output PGM (P5)")
-        p.set_defaults(func=cmd_crypt)
-
-    p = sub.add_parser("histogram", help="256-bin histogram and uniformity chi-square of a PGM")
-    p.add_argument("--in", dest="infile", required=True, help="input PGM (P5)")
-    p.add_argument("--csv", help="write histogram CSV (value,count)")
-    p.set_defaults(func=cmd_histogram)
+        p.add_argument("--csv", help="write histogram CSV (value,count)")
+        p.set_defaults(func=cmd_histogram)
 
     return parser
 
@@ -414,8 +436,9 @@ def main(argv=None) -> int:
     # the command, they are left out of every cycle collection it triggers,
     # which then scans only the command's own objects.
     gc.freeze()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         _note(f"usage error: {exc}\n")

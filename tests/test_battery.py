@@ -1,7 +1,9 @@
 """Battery module: frozen worked-example oracles, gates, aggregation."""
 
 import dataclasses
+import math
 import random
+from math import erfc
 
 import mpmath
 import numpy as np
@@ -29,7 +31,24 @@ from chaosbits import (
     serial,
     spectral_dft,
 )
-from chaosbits.battery import _longest_runs, _pattern_counts, _run_all_tests
+from chaosbits.battery import TestResult as Result  # a Test* name would be collected
+from chaosbits.battery import (
+    _apen_m,
+    _apen_result,
+    _block_ones,
+    _changes,
+    _cusum_p,
+    _longest_runs,
+    _pattern_counts,
+    _require_length,
+    _run_all_tests,
+    _Sequence,
+    _serial_m,
+    _serial_results,
+    _walk_extremes,
+    gammainc_upper,
+)
+from chaosbits.generator import require_bits, require_int
 
 # Frozen reference values (brute-force/high-precision oracles, separate
 # session).  Implementation agreement is required to 1e-12 relative.
@@ -419,10 +438,13 @@ def reference_pattern_counts(b, m):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 12).flatmap(
+    st.integers(1, 20).flatmap(
         lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 1), min_size=m, max_size=300))
     )
 )
+@example((20, [1] * 20))
+@example((20, [0, 1] * 100 + [1]))
+@example((17, [1, 1, 0] * 7))
 def test_pattern_counts_match_per_length_reference(case):
     m, seq = case
     b = np.array(seq, dtype=np.uint8)
@@ -449,6 +471,208 @@ def test_battery_checks_both_pattern_lengths_before_counting():
         _run_all_tests(seq, True, 400, 14, 13)
     with pytest.raises(ValueError, match="^approximate-entropy: sequence length 4096 is below the minimum 8192"):
         _run_all_tests(seq, True, 400, 3, 13)
+
+
+# -- packed kernels against per-bit references --------------------------------
+# Per-bit reference implementations of the tests that read the sequence
+# packed: each walks one uint8 per bit, then forms its statistic with the
+# battery's float expressions, so every result must be equal, not close.
+
+
+def per_bit_monobit(bits, relaxed=False):
+    b = require_bits(bits)
+    n = b.size
+    _require_length(n, 100, 1, relaxed, "monobit")
+    s = 2 * int(b.sum()) - n
+    s_obs = abs(s) / math.sqrt(n)
+    p = erfc(s_obs / math.sqrt(2.0))
+    return Result("monobit", s_obs, p, {"n": n})
+
+
+def per_bit_block_frequency(bits, block_len=20000, relaxed=False):
+    b = require_bits(bits)
+    n = b.size
+    block_len = require_int(block_len, "block_frequency: block_len", 1)
+    if block_len < 20 and not relaxed:
+        raise ValueError(
+            f"block_frequency: block_len {block_len} is below the minimum 20; relaxed mode lowers it"
+        )
+    n_blocks = n // block_len
+    if n_blocks == 0:
+        raise ValueError(f"block_frequency: sequence of {n} bits holds no {block_len}-bit block")
+    props = b[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
+    chi2 = 4.0 * block_len * float(np.sum((props - 0.5) ** 2))
+    p = gammainc_upper(n_blocks / 2.0, chi2 / 2.0)
+    return Result("block-frequency", chi2, p, {"M": block_len, "n_blocks": n_blocks})
+
+
+def per_bit_runs(bits, relaxed=False):
+    b = require_bits(bits)
+    n = b.size
+    _require_length(n, 100, 2, relaxed, "runs")
+    pi = float(b.mean())
+    v_obs = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
+    tau = 2.0 / math.sqrt(n)
+    if abs(pi - 0.5) >= tau:
+        return Result("runs", float(v_obs), 0.0, {"pi": pi, "gate_failed": True})
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    if den == 0.0:
+        return Result("runs", float(v_obs), 0.0, {"pi": pi, "gate_failed": False})
+    p = erfc(abs(v_obs - 2.0 * n * pi * (1.0 - pi)) / den)
+    return Result("runs", float(v_obs), p, {"pi": pi, "gate_failed": False})
+
+
+def per_bit_spectral(bits, relaxed=False):
+    b = require_bits(bits)
+    n = b.size
+    _require_length(n, 1000, 2, relaxed, "spectral")
+    x = 2.0 * b - 1.0
+    mags = np.abs(np.fft.rfft(x))[: n // 2]
+    threshold = math.sqrt(n * math.log(1.0 / 0.05))
+    n0 = 0.95 * n / 2.0
+    n1 = int(np.count_nonzero(mags < threshold))
+    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    p = erfc(abs(d) / math.sqrt(2.0))
+    return Result("spectral", d, p, {"threshold": threshold, "n0": n0, "n1": n1})
+
+
+def per_bit_walk(b):
+    # The +/-1 walk's partial sums s[0..n-1], after each step.
+    return np.cumsum(2 * b.astype(np.int64) - 1)
+
+
+def per_bit_cumulative_sums(bits, relaxed=False):
+    b = require_bits(bits)
+    n = b.size
+    _require_length(n, 100, 1, relaxed, "cumulative-sums")
+    s = per_bit_walk(b)
+    last = int(s[-1])
+    head = s[:-1]
+    forward = max(int(s.max()), -int(s.min()))
+    backward = max(last - int(head.min(initial=0)), int(head.max(initial=0)) - last)
+    out = []
+    for name, z in (("cumulative-sums-forward", forward), ("cumulative-sums-backward", backward)):
+        p = _cusum_p(z, n)
+        out.append(Result(name, float(z), p, {"mode": name.rsplit("-", 1)[1]}))
+    return out[0], out[1]
+
+
+def per_bit_pattern_counts(b, m):
+    # m shift-or steps on a uint32 index over the sequence extended by its
+    # first m-1 bits, one bincount, then folds for the shorter patterns.
+    n = b.size
+    ext = np.concatenate([b, b[: m - 1]])
+    idx = np.zeros(n, dtype=np.uint32)
+    for j in range(m):
+        idx <<= 1
+        idx |= ext[j : j + n]
+    counts = [np.bincount(idx, minlength=1 << m)]
+    while len(counts) < m:
+        counts.append(counts[-1][0::2] + counts[-1][1::2])
+    return counts
+
+
+def per_bit_run_all_tests(bits, relaxed, block_len, serial_m, apen_m):
+    b = require_bits(bits)
+    n = b.size
+    results = [
+        per_bit_monobit(b, relaxed),
+        per_bit_block_frequency(b, block_len, relaxed),
+        per_bit_runs(b, relaxed),
+        longest_run(b),
+        per_bit_spectral(b, relaxed),
+        *per_bit_cumulative_sums(b, relaxed),
+    ]
+    serial_m = _serial_m(n, serial_m, relaxed)
+    apen_m = _apen_m(n, apen_m, relaxed)
+    width = max(serial_m, apen_m + 1)
+    counts = per_bit_pattern_counts(b, width)
+    results.extend(_serial_results(counts[width - serial_m:], n, serial_m))
+    results.append(_apen_result(counts[width - apen_m - 1:], n, apen_m))
+    return results
+
+
+def outcome(call, *args):
+    # A result, or the error it raised, so failures compare too.
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+# Sequences whose packed bytes are all alike: constant, and alternating from
+# either bit, at every length mod 8.
+def uniform_sequences(lengths):
+    for n in lengths:
+        for pattern in ([0], [1], [0, 1], [1, 0]):
+            yield np.resize(np.array(pattern, dtype=np.uint8), n)
+
+
+BIT_LISTS = st.lists(st.integers(0, 1), min_size=1, max_size=400)
+# Block lengths that are and are not whole bytes.
+BLOCK_LENS = st.sampled_from([8, 16, 24, 64, 128]) | st.integers(1, 70)
+
+
+def check_packed_counts(b, block_len):
+    seq = _Sequence(b)
+    assert seq.ones == int(b.sum())
+    block_len = min(block_len, b.size)
+    n_blocks = b.size // block_len
+    np.testing.assert_array_equal(
+        _block_ones(seq, block_len), b[: n_blocks * block_len].reshape(n_blocks, block_len).sum(axis=1))
+    assert _changes(seq) == int(np.count_nonzero(b[1:] != b[:-1]))
+    head = per_bit_walk(b)[:-1]
+    assert _walk_extremes(seq) == (int(head.max(initial=0)), int(head.min(initial=0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(BIT_LISTS, BLOCK_LENS)
+def test_packed_counts_match_per_bit_counts(seq, block_len):
+    check_packed_counts(np.array(seq, dtype=np.uint8), block_len)
+
+
+@pytest.mark.parametrize("block_len", [1, 3, 8, 9, 16, 20])
+def test_packed_counts_of_uniform_sequences(block_len):
+    for b in uniform_sequences(range(1, 42)):
+        check_packed_counts(b, block_len)
+
+
+PER_BIT_TESTS = [
+    (frequency_monobit, per_bit_monobit),
+    (block_frequency, per_bit_block_frequency),
+    (runs_test, per_bit_runs),
+    (spectral_dft, per_bit_spectral),
+    (cumulative_sums, per_bit_cumulative_sums),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(BIT_LISTS, BLOCK_LENS)
+def test_packed_tests_match_per_bit_code(seq, block_len):
+    b = np.array(seq, dtype=np.uint8)
+    for packed, per_bit in PER_BIT_TESTS:
+        assert outcome(packed, b, True) == outcome(per_bit, b, True)
+    assert outcome(block_frequency, b, block_len, True) == outcome(per_bit_block_frequency, b, block_len, True)
+
+
+def test_packed_tests_match_per_bit_code_on_uniform_sequences():
+    for b in uniform_sequences([*range(100, 109), 1000, 1001, 1007]):
+        for relaxed in (False, True):
+            for packed, per_bit in PER_BIT_TESTS:
+                assert outcome(packed, b, relaxed) == outcome(per_bit, b, relaxed)
+        m = 3 if b.size < 1000 else 6
+        args = (b, True, 20, m, m)
+        assert outcome(_run_all_tests, *args) == outcome(per_bit_run_all_tests, *args)
+
+
+@pytest.mark.parametrize("config, n", [
+    (GeneratorConfig(5, (14, 15), SeedSpec.from_time(484200)), 10**6),  # scheme-6, the paper scale
+    (GeneratorConfig(8, (1,), SeedSpec.from_time(484076)), 200000),  # scheme-1, the benchmark's battery
+])
+def test_battery_matches_per_bit_code_on_generated_sequences(config, n):
+    seq = generate_bits(config, n)
+    for args in ((False, 20000, 10, 10), (False, 1001, 13, 7)):
+        assert _run_all_tests(seq, *args) == per_bit_run_all_tests(seq, *args)
 
 
 # -- p-value range property over all tests -----------------------------------
