@@ -35,11 +35,14 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 class KernelState(ctypes.Structure):
     """chaosbits_state: the driver state a kernel call starts from and leaves,
-    the generator's shape and the state key to stop at."""
+    the stream's partial byte, the generator's shape and the state key to
+    stop at."""
 
     _fields_ = [
         ("y", ctypes.c_double),
         ("mask", ctypes.c_uint64),
+        ("acc", ctypes.c_uint64),
+        ("nacc", ctypes.c_int64),
         ("iters", ctypes.c_int64),
         ("dead", ctypes.c_int64),
         ("n", ctypes.c_int64),

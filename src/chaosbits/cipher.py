@@ -149,16 +149,15 @@ def histogram(image: GrayscaleImage) -> Histogram:
 def _xor_keystream(buf: bytearray, config: GeneratorConfig) -> None:
     """XOR the first len(buf) keystream bytes of a fresh generator into buf.
 
-    The bits are read and packed in the generator's chunks, and each
-    packed chunk is XORed in place, so the keystream is never held
-    whole, packed or not.
+    The keystream is read packed, in the generator's chunks, and each
+    chunk is XORed in place, so the keystream is never held whole,
+    packed or not.
     """
     if not buf:
         return
     out = np.frombuffer(buf, dtype=np.uint8)
     at = 0
-    for bits in ChaoticBitGenerator(config).chunks(8 * len(buf), 8):
-        piece = np.packbits(bits)
+    for piece in ChaoticBitGenerator(config).chunks(8 * len(buf), 8, packed=True):
         out[at : at + piece.size] ^= piece
         at += piece.size
 

@@ -55,7 +55,6 @@ from .generator import (
     config_from_entries,
     config_from_text,
     config_to_text,
-    pack_bits,
     parse_ascii_bits,
     parse_bit_vector,
     parse_int_list,
@@ -151,17 +150,18 @@ def _open_output(path: str):
 
 
 def _keep_freed_heap() -> None:
-    """Let malloc serve the battery's per-sequence temporaries from a heap that keeps them.
+    """Let malloc serve large numpy temporaries from a heap that keeps them.
 
-    A sequence's large temporaries (spectral's +/-1 copy, its rfft
-    output and pocketfft's scratch, the pattern index) exceed glibc's
-    default 128 KiB mmap threshold, so each is mapped, faulted in page
-    by page and unmapped again on every sequence.  Below a 32 MiB mmap
-    threshold they come from the heap, and a 64 MiB trim threshold keeps
-    the pages one sequence freed for the next.  The setting is process
+    ``test`` and ``analyze`` make them: a battery sequence's (spectral's
+    +/-1 copy, its rfft output and pocketfft's scratch, the pattern
+    index) and analyze's transforms.  They exceed glibc's default
+    128 KiB mmap threshold, so each is mapped, faulted in page by page
+    and unmapped again when freed.  Below a 32 MiB mmap threshold they
+    come from the heap, and a 64 MiB trim threshold keeps the pages one
+    transform or sequence freed for the next.  The setting is process
     wide, so the CLI, which owns its process, makes it; library callers
-    of run_battery keep the allocator's defaults.  Where the C library
-    is not glibc, this does nothing.
+    of run_battery and the analysis functions keep the allocator's
+    defaults.  Where the C library is not glibc, this does nothing.
     """
     try:
         os.confstr("CS_GNU_LIBC_VERSION")
@@ -206,10 +206,10 @@ def cmd_gen(args) -> int:
     gen = ChaoticBitGenerator(config, driver=driver)
     ascii_out = args.format == "ascii"
     # Whole lines (ASCII) or whole bytes (raw) per chunk, so each chunk
-    # renders alone; raw output ignores --wrap.
+    # renders alone; raw output ignores --wrap and writes the packed stream.
     with _open_output(args.out) as fh:
-        for bits in gen.chunks(args.count, (args.wrap or 1) if ascii_out else 8):
-            fh.write(_ascii_codes(bits, args.wrap) if ascii_out else pack_bits(bits))
+        for piece in gen.chunks(args.count, (args.wrap or 1) if ascii_out else 8, packed=not ascii_out):
+            fh.write(_ascii_codes(piece, args.wrap) if ascii_out else piece)
         if ascii_out and args.count and not args.wrap:
             fh.write(b"\n")
     return 0
@@ -246,6 +246,7 @@ def cmd_analyze(args) -> int:
         bits = ChaoticBitGenerator(config).bits(100000 if args.count is None else args.count)
     n = len(bits)
 
+    _keep_freed_heap()
     auto = autocorrelation(bits, args.max_lag)
     # power_spectrum's numbers, without the per-bin tuples that only --spectrum-csv prints.
     power, flatness, time_energy, spectral_energy = _spectrum(bits)

@@ -345,13 +345,11 @@ class TranscriptDriver:
 
 # Bits a chunks() piece reads at a time (before rounding to whole
 # steps), so reading a long stream takes memory that does not grow with
-# its length.  At 2^16 bits the per-piece buffers (the bits, the
-# unpacked rows, the rendered or packed output) fit in L2 and stay under
-# glibc's default 128 KiB mmap threshold (the unpacked rows of N < 5
-# cells exceed it once, and glibc then raises it), so malloc serves them
-# from the heap and each piece reuses the pages the previous one freed
-# instead of faulting in fresh ones: 1e8 ASCII bits fault no more pages
-# than 1e6.
+# its length.  At 2^16 bits the per-piece buffers (the packed stream,
+# the bits, the rendered output) fit in L2 and stay under glibc's
+# default 128 KiB mmap threshold, so malloc serves them from the heap
+# and each piece reuses the pages the previous one freed instead of
+# faulting in fresh ones: 1e8 ASCII bits fault no more pages than 1e6.
 CHUNK_BITS = 1 << 16
 
 
@@ -384,12 +382,18 @@ class ChaoticBitGenerator:
         # The next unconsumed logistic sample; a transcript has none.
         self._y = y0 if driver is None else math.nan
         self._n = n
-        cells = np.array(x0, dtype=np.uint8)
-        self._mask = int((cells + ord("0")).tobytes(), 2)
+        self._mask = int((np.array(x0, dtype=np.uint8) + ord("0")).tobytes(), 2)
         self._iter_count = 0
-        # The seed block, when emitted, is the first block of the stream buffer.
+        # The stream's unread part: the whole bytes of _tail from bit _skip
+        # of the first, then the _nacc < 8 bits of _acc, which the block
+        # loop completes into the next byte.  The seed block, when emitted,
+        # is its first block.
         self._blocks_emitted = int(config.emit_initial)
-        self._pending_bits = cells if config.emit_initial else cells[:0]
+        self._nacc = n % 8 if config.emit_initial else 0
+        self._acc = self._mask & ((1 << self._nacc) - 1)
+        seed_bytes = (self._mask >> self._nacc).to_bytes(n // 8, "big") if config.emit_initial else b""
+        self._tail = np.frombuffer(bytearray(seed_bytes), dtype=np.uint8)
+        self._skip = 0
         # The inner-loop range of each gap, built here because
         # detect_cycle runs the block loop one block per call.
         self._gap_ranges = [range(m) for m in config.m_set]
@@ -451,17 +455,20 @@ class ChaoticBitGenerator:
         _blockloop.c) runs in place of the Python body when the
         generator has one (see ``backend``); the Python body is its
         reference.  Without a transcript it runs the logistic recurrence
-        inline, with the same arithmetic as logistic_step, m_from_y,
-        strategy_from_y and chaotic_step.  out, when given, is a
-        C-contiguous uint8 array whose row b receives the b-th emitted
-        mask's ceil(n_cells/8) big-endian bytes, on both loops.  The loop
-        stops after the first block whose state_key() equals key; key None
-        stands for _NO_KEY, which no state equals.  On an error mid-block
-        (a degenerate orbit, an exhausted transcript or an out-of-range
+        inline on z = 4y, with arithmetic whose every result equals
+        logistic_step's, m_from_y's and strategy_from_y's on y (see
+        _blockloop.c for why), and chaotic_step's.  out, when given, is a
+        C-contiguous uint8 array with room for (_nacc + nblocks*n_cells)//8
+        bytes; both loops append each emitted mask to the packed stream,
+        writing every byte they complete to out from its start and
+        leaving the bits past the last one in _acc.  The loop stops after
+        the first block whose state_key() equals key; key None stands for
+        _NO_KEY, which no state equals.  On an error mid-block (a
+        degenerate orbit, an exhausted transcript or an out-of-range
         strategy) the generator is left in the state reached at the
-        failure point, out holds the blocks completed before it (as many
-        as blocks_emitted grew by), and the error propagates; a failing
-        logistic sample is never consumed.
+        failure point, the stream holds the blocks completed before it
+        (as many as blocks_emitted grew by), and the error propagates; a
+        failing logistic sample is never consumed.
         """
         key_mask, key_driver = _NO_KEY if key is None else key
         if self._kernel is not None:
@@ -470,9 +477,13 @@ class ChaoticBitGenerator:
             st.mask = self._mask
             st.key_mask = key_mask
             st.key_y = key_driver
+            st.acc = self._acc
+            st.nacc = self._nacc
             done = self._kernel(st, nblocks, None if out is None else out.ctypes.data)
             self._y = st.y
             self._mask = st.mask
+            self._acc = st.acc
+            self._nacc = st.nacc
             self._iter_count += st.iters
             self._blocks_emitted += done
             if st.dead:
@@ -480,55 +491,60 @@ class ChaoticBitGenerator:
             return done
         transcript = self._transcript
         n = self._n
-        nbytes = (n + 7) // 8
-        # Rows made so far, copied into out at the end: cheaper than a store per block.
-        rows = bytearray()
-        y = self._y
+        top = 1 << (n - 1)
+        # The bytes completed so far, copied into out at the end: cheaper than a store per block.
+        stream = bytearray()
+        acc = self._acc
+        nacc = self._nacc
+        z = 4.0 * self._y
         mask = self._mask
         iters = 0
         done = 0
+        gap_ranges = self._gap_ranges
+        k = len(gap_ranges)
+        quarter_k = 0.25 * k
         try:
-            if transcript is None:
-                gap_ranges = self._gap_ranges
-                k = len(gap_ranges)
-                for _ in range(nblocks):
-                    i = int(y * k)
+            for _ in range(nblocks):
+                if transcript is None:
+                    i = int(z * quarter_k)
                     gap = gap_ranges[i if i < k else k - 1]
-                    nxt = 4.0 * y * (1.0 - y)
-                    if nxt == y:
-                        raise _dead(y)
-                    y = nxt
+                    nxt = z * (4.0 - z)
+                    if nxt == z:
+                        raise _dead(0.25 * z)
+                    z = nxt
                     for j in gap:
-                        r = int(1e7 * y) % n
-                        nxt = 4.0 * y * (1.0 - y)
-                        if nxt == y:
+                        r = int(2.5e6 * z) % n
+                        nxt = z * (4.0 - z)
+                        if nxt == z:
                             iters += j
-                            raise _dead(y)
-                        y = nxt
-                        mask ^= 1 << (n - 1 - r)
+                            raise _dead(0.25 * z)
+                        z = nxt
+                        mask ^= top >> r
                     iters += len(gap)
-                    if out is not None:
-                        rows += mask.to_bytes(nbytes, "big")
-                    done += 1
-                    if mask == key_mask and y == key_driver:
-                        break
-            else:
-                for _ in range(nblocks):
+                else:
                     for _ in range(transcript.next_gap()):
                         mask ^= 1 << (n - transcript.next_strategy(n))
                         iters += 1
-                    if out is not None:
-                        rows += mask.to_bytes(nbytes, "big")
-                    done += 1
-                    if mask == key_mask and transcript.key() == key_driver:
-                        break
+                if out is not None:
+                    acc = acc << n | mask
+                    nacc += n
+                    if nacc > 63:
+                        stream += (acc >> (nacc & 7)).to_bytes(nacc >> 3, "big")
+                        nacc &= 7
+                        acc &= (1 << nacc) - 1
+                done += 1
+                if mask == key_mask and (0.25 * z if transcript is None else transcript.key()) == key_driver:
+                    break
         finally:
-            self._y = y
+            self._y = 0.25 * z
             self._mask = mask
             self._iter_count += iters
             self._blocks_emitted += done
+            stream += (acc >> (nacc & 7)).to_bytes(nacc >> 3, "big")
+            self._nacc = nacc & 7
+            self._acc = acc & ((1 << self._nacc) - 1)
             if out is not None:
-                out[:done] = np.frombuffer(rows, dtype=np.uint8).reshape(done, nbytes)
+                out[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
         return done
 
     def next_block(self) -> tuple[int, ...]:
@@ -541,56 +557,88 @@ class ChaoticBitGenerator:
         holds part of a block, the next n_cells bits would straddle two
         blocks, and ValueError is raised.
         """
-        if self._pending_bits.size % self._n:
+        if (8 * self._tail.size + self._nacc - self._skip) % self._n:
             raise ValueError("next_block: bits() holds part of a block; read the rest with bits() first")
         return tuple(self.bits(self._n).tolist())
+
+    def _read(self, count: int) -> tuple[np.ndarray, int]:
+        """Take the next count bits of the stream, as bits skip ..
+        skip+count-1 (MSB first) of buf; returns (buf, skip).
+
+        A call runs only the blocks the buffer lacks and keeps what it
+        does not hand out.  If the driver fails, the bytes of the
+        completed blocks stay buffered for the next call and the error
+        propagates, so the stream has no hole.
+        """
+        n, tail, skip = self._n, self._tail, self._skip
+        end = skip + count
+        whole = tail.size
+        buf = tail
+        if end > 8 * whole:
+            # The bytes the blocks complete, then a slot for the partial byte.
+            nblocks = max(-(-(end - 8 * whole - self._nacc) // n), 0)
+            made = whole + (self._nacc + nblocks * n) // 8
+            buf = np.empty(made + 1, dtype=np.uint8)
+            if whole:
+                buf[:whole] = tail
+            if nblocks:
+                first, nacc = self._blocks_emitted, self._nacc
+                try:
+                    self._advance(nblocks, buf[whole:])
+                except BaseException:
+                    self._tail = buf[: whole + (nacc + (self._blocks_emitted - first) * n) // 8]
+                    raise
+            whole = made
+            buf[whole] = self._acc << (8 - self._nacc)
+        self._tail = buf[end // 8 : whole]
+        self._skip = end % 8
+        return buf, skip
 
     def bits(self, count: int) -> np.ndarray:
         """The next ``count`` output bits as a numpy uint8 array.
 
         Bit k of a fresh generator equals component (k mod n_cells)+1
         of block floor(k / n_cells); successive calls continue the
-        stream.  The stream is buffered: a call runs the blocks the
-        buffer lacks, appends every block it completed, then hands out
-        the first ``count`` bits.  If the driver fails, the completed
-        blocks stay buffered for the next call and the error
-        propagates, so the stream has no hole.
+        stream.  A call runs only the blocks its bits lack and unpacks
+        them from the packed stream into a fresh array.  If the driver
+        fails, the completed blocks stay buffered for the next call and
+        the error propagates, so the stream has no hole.
         """
         count = require_int(count, "bits: count", 0)
-        n = self._n
-        missing = count - self._pending_bits.size
-        if missing > 0:
-            rows = np.empty((-(-missing // n), (n + 7) // 8), dtype=np.uint8)
-            first = self._blocks_emitted
-            try:
-                self._advance(len(rows), rows)
-            finally:
-                # One flat unpack of the rows made; each row's cells follow
-                # the -n % 8 pad bits of its first byte.
-                k = self._blocks_emitted - first
-                done = np.unpackbits(rows[:k].reshape(-1)).reshape(k, 8 * rows.shape[1])[:, -n % 8 :]
-                if self._pending_bits.size:
-                    self._pending_bits = np.concatenate((self._pending_bits, done), axis=None)
-                else:
-                    self._pending_bits = done.reshape(-1)
-        buffer = self._pending_bits
-        self._pending_bits = buffer[count:]
-        return buffer[:count]
+        buf, skip = self._read(count)
+        return np.unpackbits(buf, count=skip + count)[skip:]
 
-    def chunks(self, count: int, step: int = 1) -> Iterator[np.ndarray]:
+    def _packed(self, count: int) -> np.ndarray:
+        """The next count bits packed as np.packbits packs them, first bit
+        in the high bit and the last byte zero-padded."""
+        buf, skip = self._read(count)
+        if skip:
+            return np.packbits(np.unpackbits(buf, count=skip + count)[skip:])
+        piece = buf[: -(-count // 8)]
+        if count % 8:
+            # The byte's low bits are the stream's next bits; pad a copy.
+            piece = piece.copy()
+            piece[-1] &= 0xFF << (8 - count % 8) & 0xFF
+        return piece
+
+    def chunks(self, count: int, step: int = 1, *, packed: bool = False) -> Iterator[np.ndarray]:
         """The next ``count`` bits as consecutive bits() results, in bounded pieces.
 
         Each piece holds about CHUNK_BITS bits, a whole number of
         ``step`` bits (a line of text, a byte), so it can be rendered
         alone; a step longer than CHUNK_BITS makes a piece of one step,
-        and only the last piece may be shorter.  The pieces are read as
-        the iterator is advanced: when the driver fails, the pieces
-        already yielded stand and the error propagates, as from bits().
+        and only the last piece may be shorter.  With packed, each piece
+        comes as np.packbits would pack it: a whole-byte piece is the
+        block loop's bytes as written, with no unpacking.  The pieces
+        are read as the iterator is advanced: when the driver fails, the
+        pieces already yielded stand and the error propagates, as from
+        bits().
         """
         count = require_int(count, "chunks: count", 0)
         step = require_int(step, "chunks: step", 1)
         piece = max(CHUNK_BITS // step, 1) * step
-        return (self.bits(min(piece, count - start)) for start in range(0, count, piece))
+        read = self._packed if packed else self.bits
+        return (read(min(piece, count - start)) for start in range(0, count, piece))
 
 
 def generate_bits(config: GeneratorConfig, count: int, *, driver=None) -> np.ndarray:

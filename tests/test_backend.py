@@ -6,6 +6,7 @@ compiled loop when gcc can build it, and once with the kernel handle
 patched away, which leaves every generator on the Python loop.
 """
 
+import functools
 import shutil
 import tracemalloc
 from unittest import mock
@@ -25,8 +26,12 @@ from chaosbits import (
     SeedSpec,
     TranscriptDriver,
     _blockloop,
+    chaotic_step,
     detect_cycle,
+    logistic_step,
+    m_from_y,
     seed_from_time,
+    strategy_from_y,
 )
 
 
@@ -110,9 +115,15 @@ def test_python_loop_helper_forces_python():
     assert python_loop(ChaoticBitGenerator, cfg).backend == "python"
 
 
+def buffered_stream(gen):
+    """The generator's unread stream: its whole bytes, the bits of the first
+    already read, and the partial byte the block loop carries."""
+    return gen._tail.tobytes(), gen._skip, gen._acc, gen._nacc
+
+
 def run_calls(cfg, calls):
     """Drive a fresh generator through bits(k) calls; return every result,
-    the final state and the buffered bits.
+    the final state and the buffered stream.
 
     A call that raises records its exception type; the run stops there.
     """
@@ -125,7 +136,7 @@ def run_calls(cfg, calls):
             results.append("DegenerateSeedError")
             break
     state = gen.state
-    return results, (state.x, state.y, state.iter_count, state.blocks_emitted), gen._pending_bits.tobytes()
+    return results, (state.x, state.y, state.iter_count, state.blocks_emitted), buffered_stream(gen)
 
 
 @pytest.mark.parametrize(
@@ -170,6 +181,64 @@ def test_split_bits_match_python_loop(n, m_set, t, emit_initial, calls):
         assert b"".join(compiled[0]) == whole[0]
 
 
+def reference_stream(cfg, nblocks):
+    """The bits of cfg's first nblocks blocks, from the module helpers, the
+    per-sample reference; fewer blocks when the orbit reaches a fixed
+    point first."""
+    x, y = cfg.seed.resolve(cfg.n_cells)
+    blocks = [x] if cfg.emit_initial else []
+    while len(blocks) < nblocks:
+        for draw in range(m_from_y(y, cfg.m_set) + 1):
+            if logistic_step(y) == y:
+                return np.array(blocks, dtype=np.uint8).reshape(-1)
+            if draw:
+                x = chaotic_step(x, strategy_from_y(y, cfg.n_cells))
+            y = logistic_step(y)
+        blocks.append(x)
+    return np.array(blocks, dtype=np.uint8).reshape(-1)
+
+
+# (reader, bits) reads of one stream.  bits() reads start and end inside
+# bytes and inside blocks for every width below; the packed reader then
+# starts unaligned (at bit 1277), aligned (at bit 1576) and unaligned
+# again, and pads its last byte with zeros.
+STREAM_READS = [("bits", 1), ("bits", 13), ("bits", 3), ("bits", 250), ("bits", 7), ("bits", 1001),
+                ("bits", 2), ("packed", 297), ("bits", 2), ("packed", 77), ("packed", 3)]
+
+
+@pytest.mark.parametrize("loop", ["default", "python"])
+@pytest.mark.parametrize("emit_initial", [True, False], ids=["seed-block", "no-seed-block"])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 9, 13, 56, 57, 63, 64])
+def test_stream_matches_the_reference(n, emit_initial, loop):
+    cfg = GeneratorConfig(n, (1, 3, 4), SeedSpec.from_time(903211), emit_initial=emit_initial)
+    gen = ChaoticBitGenerator(cfg) if loop == "default" else python_loop(ChaoticBitGenerator, cfg)
+    total = sum(k for _, k in STREAM_READS)
+    expected = reference_stream(cfg, -(-total // n))
+    at = 0
+    for reader, k in STREAM_READS:
+        if reader == "bits":
+            got = gen.bits(k)
+        else:
+            packed = gen._packed(k)
+            assert packed.size == -(-k // 8)
+            got = np.unpackbits(packed)
+            assert not got[k:].any()
+            got = got[:k]
+        assert got.tolist() == expected[at : at + k].tolist(), (reader, at)
+        at += k
+
+
+@pytest.mark.parametrize("loop", ["default", "python"])
+@pytest.mark.parametrize("emit_initial", [True, False])
+@pytest.mark.parametrize("n", [5, 8, 9, 63])
+def test_packed_chunks_are_the_packed_bits(n, emit_initial, loop):
+    cfg = GeneratorConfig(n, (14, 15), SeedSpec.from_time(484200), emit_initial=emit_initial)
+    make = ChaoticBitGenerator if loop == "default" else functools.partial(python_loop, ChaoticBitGenerator)
+    for count in (0, 5, 8 * 9000, 8 * 9000 + 3, 150001):
+        packed = b"".join(piece.tobytes() for piece in make(cfg).chunks(count, 8, packed=True))
+        assert packed == np.packbits(make(cfg).bits(count)).tobytes()
+
+
 # Fixed points the existing generator tests use: from y0 = 0.5 + 1 ulp
 # the orbit goes 1.0, then 0.0, which is a fixed point.  With gap 1 the
 # second block's gap draw fails; with gap 2 the first block fails after
@@ -202,6 +271,57 @@ def test_next_block_failure_matches_python_loop(cfg):
         return out, gen.state
 
     assert blocks(cfg) == python_loop(blocks, cfg)
+
+
+# Orbits from y0 = 0.5 + 1 ulp die in their second or third block, here
+# with bytes and the partial byte of the stream left unread.
+DYING_STREAM_CONFIGS = FIXED_POINT_CONFIGS + [
+    GeneratorConfig(n, (1, 2), SeedSpec.explicit((1, 0) * (n // 2) + (1,) * (n % 2), 0.5000000000000001),
+                    emit_initial=emit_initial)
+    for n, emit_initial in ((13, True), (57, True), (63, False), (64, True))
+]
+
+
+@pytest.mark.parametrize("loop", ["default", "python"])
+@pytest.mark.parametrize("cfg", DYING_STREAM_CONFIGS)
+@pytest.mark.parametrize("reads", [[3, 1000], [1] * 200, [7, 7, 7, 7, 500]])
+def test_stream_of_a_dying_orbit_is_a_prefix(cfg, reads, loop):
+    # The reads that fail keep the completed blocks' bits, which a read of
+    # exactly what is left returns: the bits read are the reference's
+    # blocks up to the fixed point, with no hole.
+    gen = ChaoticBitGenerator(cfg) if loop == "default" else python_loop(ChaoticBitGenerator, cfg)
+    got = []
+    for k in reads:
+        try:
+            got.append(gen.bits(k))
+        except DegenerateSeedError:
+            left = gen.state.blocks_emitted * cfg.n_cells - sum(map(len, got))
+            got.append(gen.bits(left))
+            with pytest.raises(DegenerateSeedError):
+                gen.bits(1)
+            break
+    else:
+        pytest.fail("the orbit did not die")
+    assert np.concatenate(got).tolist() == reference_stream(cfg, 10**6).tolist()
+
+
+@pytest.mark.parametrize("loop", ["default", "python"])
+@pytest.mark.parametrize("n", [5, 8, 13, 63, 64])
+def test_key_stop_ends_the_stream_at_the_key_block(n, loop):
+    # _advance's out receives the whole bytes up to the key block; that
+    # block's last bits stay in the partial byte, the first bits() reads.
+    cfg = GeneratorConfig(n, (2, 3), SeedSpec.from_time(484076), emit_initial=False)
+    make = ChaoticBitGenerator if loop == "default" else functools.partial(python_loop, ChaoticBitGenerator)
+    ref = make(cfg)
+    ref._advance(41)
+    gen = make(cfg)
+    out = np.full(100 * n // 8, 0xFF, dtype=np.uint8)
+    assert gen._advance(100, out, ref.state_key()) == 41
+    whole = 41 * n // 8
+    assert (out[whole:] == 0xFF).all()
+    expected = reference_stream(cfg, 42)
+    stream = np.concatenate((np.unpackbits(out[:whole]), gen.bits(41 * n % 8 + n)))
+    assert stream.tolist() == expected.tolist()
 
 
 # Generators the key stop is checked on: the compiled loop's shapes, a
@@ -266,13 +386,14 @@ def test_advance_without_key_runs_through_a_zero_mask(transcript):
     def run():
         driver = None if transcript is None else TranscriptDriver(*transcript, cycle=True)
         gen = ChaoticBitGenerator(cfg, driver=driver)
-        # Three cells make one-byte rows; 0xFF shows a row left unwritten.
-        rows = np.full((8, 1), 0xFF, dtype=np.uint8)
-        return gen._advance(8, rows), rows.tobytes()
+        # Eight blocks of three cells make three whole bytes; 0xFF shows a
+        # byte left unwritten.
+        stream = np.full(4, 0xFF, dtype=np.uint8)
+        return gen._advance(8, stream), stream.tobytes(), buffered_stream(gen)
 
-    done, rows = run()
-    assert done == 8 and rows[0] == 0
-    assert python_loop(run) == (done, rows)
+    done, stream, buffered = run()
+    assert done == 8 and stream[0] >> 5 == 0 and stream[3] == 0xFF
+    assert python_loop(run) == (done, stream, buffered)
 
 
 @pytest.mark.parametrize("backend", ["default", "python"])

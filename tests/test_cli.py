@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import gc
+import hashlib
 import io
 import os
 import platform
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import chaosbits
+import chaosbits._blockloop
 import chaosbits.cli
 from chaosbits import (
     SCHEMES,
@@ -97,6 +99,31 @@ def test_gen_raw_packs_bytes(tmp_path):
     assert len(out.read_bytes()) == 2
 
 
+# sha256 of gen's output, pinned from the y-form block loop that wrote one
+# row of padded bytes per block.  The n = 63 and 64 streams split masks
+# wider than the loop's 56-bit appends; CI pins two longer outputs.
+GEN_DIGESTS = {
+    "--scheme scheme-6 --seed 484200 --count 1000003 --format raw":
+        "cfb8ce9699bf2f7cb48b9820214bb36c9183970523acb258a318c81fe8f67a0b",
+    "--scheme scheme-4 --seed 500001 --count 99999 --wrap 7":
+        "8b726b3288f6abd934661a9069b5b2f685def18e2d116ecd219900967b063b27",
+    "--n-cells 63 --m-set 3,5 --seed 123457 --count 100003 --format raw":
+        "09b3092336dd9326bd1a1795465b4046ec2207db2e53b1ace2e83fb9c4e3e03b",
+    "--n-cells 64 --m-set 7 --seed 654321 --count 100001 --format raw":
+        "be3122149c2b1e36c701c089132a529b69d1a7871d3da519de0a3d7ff407acf2",
+}
+
+
+@pytest.mark.parametrize("loop", ["default", "python"])
+@pytest.mark.parametrize("args", sorted(GEN_DIGESTS))
+def test_gen_output_digests_are_pinned(tmp_path, monkeypatch, args, loop):
+    if loop == "python":
+        monkeypatch.setattr(chaosbits._blockloop, "load", lambda: None)
+    out = tmp_path / "bits.out"
+    assert main(["gen", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS[args]
+
+
 def test_gen_wrap(tmp_path):
     out = tmp_path / "bits.txt"
     main(["gen", "--scheme", "scheme-6", "--seed", "484076",
@@ -163,7 +190,7 @@ def test_gen_streamed_chunks_equal_one_shot(tmp_path, monkeypatch, fmt, count, w
 )
 @pytest.mark.parametrize("n_cells, m_set", [(2, (1, 2)), (9, (3, 4))])
 def test_gen_streamed_chunks_equal_one_shot_padded_rows(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_set):
-    # Rows of one byte with 6 pad bits, and of two bytes with 7; at N = 9
+    # Blocks of 2 and of 9 bits straddle the packed stream's bytes; at N = 9
     # a 24-bit chunk ends inside a block, so the next starts from its rest.
     check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_set)
 
@@ -172,13 +199,14 @@ def check_streamed_chunks(tmp_path, monkeypatch, fmt, count, wrap, n_cells, m_se
     """gen in 24-bit chunks writes what one-shot generation renders."""
     monkeypatch.setattr(chaosbits.generator, "CHUNK_BITS", 24)
     requests = []
-    real_bits = ChaoticBitGenerator.bits
+    real_read = ChaoticBitGenerator._read
 
     def spy(self, k):
         requests.append(k)
-        return real_bits(self, k)
+        return real_read(self, k)
 
-    monkeypatch.setattr(ChaoticBitGenerator, "bits", spy)
+    # Both of gen's readers, bits() for ASCII and the packed one for raw, take their bits here.
+    monkeypatch.setattr(ChaoticBitGenerator, "_read", spy)
     out = tmp_path / "bits.out"
     code = main(["gen", "--n-cells", str(n_cells), "--m-set", ",".join(map(str, m_set)),
                  "--seed", "484076", "--count", str(count),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaosbits.generator
@@ -171,6 +171,32 @@ def test_m_from_y_rejects_bad_inputs():
         m_from_y(1.5, (4, 5))
     with pytest.raises(ValueError):
         m_from_y(0.5, ())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), st.integers(2, 64), st.integers(1, 40))
+@example(2.0**-52, 5, 2)
+@example(1.0 - 2.0**-53, 64, 3)  # the last y < 1; its step is ~4.4e-16
+@example(1.0, 8, 1)  # steps to the fixed point 0
+@example(0.75, 5, 4)  # the other fixed point; 0.75*4 = 3 exactly
+@example(0.5, 2, 2)  # 1e7*y = 5e6 and y*k = 1 exactly
+@example(0.1, 7, 10)  # 1e7*y rounds to 1e6 exactly
+@example(1 / 3, 3, 3)  # y*k rounds to 1 exactly
+@example(5e-324, 63, 7)  # a subnormal seed
+def test_scaled_orbit_matches_the_y_form(y, n, k):
+    # The block loops carry z = 4y; each quantity they take from z equals
+    # the helper's on y, bit for bit (see _blockloop.c).
+    z = 4.0 * y
+    nxt = z * (4.0 - z)
+    assert nxt == 4.0 * logistic_step(y)  # the step
+    assert 0.25 * nxt == logistic_step(y)
+    assert (nxt == z) == (logistic_step(y) == y)  # the fixed-point test
+    assert int(2.5e6 * z) == int(1e7 * y)
+    assert int(2.5e6 * z) % n + 1 == strategy_from_y(y, n)  # the strategy
+    assert int(z * (0.25 * k)) == int(y * k)
+    m_set = tuple(range(1, k + 1))
+    assert m_set[min(int(z * (0.25 * k)), k - 1)] == m_from_y(y, m_set)  # the gap
+    assert 0.25 * z == y  # the state between calls
 
 
 # -- chaotic_step --------------------------------------------------------
