@@ -194,7 +194,7 @@ def _spectrum(bits) -> tuple[np.ndarray, float, float, float]:
     spectral_energy = full / n
     time_energy = float(n)
     non_dc = power[1:]
-    mean_non_dc = float(non_dc.mean()) if non_dc.size else 0.0
+    mean_non_dc = float(non_dc.mean())
     if mean_non_dc > 0.0:
         flatness = float(non_dc.max()) / mean_non_dc
     else:

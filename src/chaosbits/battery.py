@@ -23,7 +23,8 @@ highest and lowest point, from a byte table, to the walk after the
 byte, and serial and approximate entropy cut their patterns out of
 big-endian words of the packed bytes.  The statistics come from the
 same integers as a bit by bit count, so every P-value is the same.  A
-battery run validates and packs each sequence once for all the tests.
+battery run validates and packs each sequence once for all the tests,
+and serial and approximate entropy read one pattern table of it.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ _HIGH_BITS = ((0xFF00 >> np.arange(9)) & 0xFF).astype(np.uint8)
 
 
 class _Sequence:
-    """One validated bit sequence, and its bits packed on first use.
+    """One validated bit sequence, its bits packed and its patterns counted on first use.
 
     np.packbits puts the first bit in the most significant position and
     pads the last byte with zeros, which add no ones.
@@ -185,6 +186,7 @@ class _Sequence:
     def __init__(self, bits):
         self.bits = require_bits(bits)
         self.n = self.bits.size
+        self._counts: list[np.ndarray] = []
 
     @cached_property
     def packed(self) -> np.ndarray:
@@ -200,6 +202,19 @@ class _Sequence:
     @property
     def ones(self) -> int:
         return int(self.ones_before[-1])
+
+    def pattern_counts(self, m: int) -> list[np.ndarray]:
+        """Entry i counts the wraparound (m-i)-bit patterns, i = 0..m-1.
+
+        The first call counts one bit more than asked when n >= 2^m, for
+        the same eight passes, so serial and approximate entropy at one m
+        share the table in either order; later calls fold it, and count
+        again only for a wider one.  The callers require n >= 2^(m-1), so
+        the table holds at most 2n counters.
+        """
+        if len(self._counts) < m:
+            self._counts = _pattern_counts(self, m + 1 if self.n >> m else m)
+        return self._counts[len(self._counts) - m:]
 
 
 def _sequence(bits) -> _Sequence:
@@ -445,11 +460,11 @@ def _pattern_counts(bits, m: int) -> list[np.ndarray]:
     # m-1 bits so every position starts a pattern.  Word j holds the 64
     # bits from byte j on, big-endian, so the m-bit pattern at position
     # 8j + phase is the word shifted right by 64 - phase - m and masked:
-    # one bincount per phase.  The callers require n >= 2^(m-1), so the
-    # table holds at most 2n counters and m stays <= 32 for any input
-    # below 2^32 bits.  The (k-1)-bit pattern at a position is the prefix
-    # of its k-bit pattern, so the shorter counts are folds of the longer
-    # ones, exact in integers.
+    # one bincount per phase.  _Sequence.pattern_counts keeps the table
+    # within 2n counters, so m stays <= 32 for any input below 2^32 bits.
+    # The (k-1)-bit pattern at a position is the prefix of its k-bit
+    # pattern, so the shorter counts are folds of the longer ones, exact
+    # in integers.
     seq = _sequence(bits)
     n, size = seq.n, seq.packed.size
     # The first m-1 bits are ORed in from bit n on; the zero bytes after
@@ -479,14 +494,20 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return (counts.size / n) * float(np.dot(counts, counts)) - n
 
 
-def _serial_m(n: int, m, relaxed: bool) -> int:
+def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestResult]:
+    """Frequency balance of overlapping m-bit patterns (wraparound).
+
+    Returns the two standard statistics: first difference
+    nabla psi2 = psi2(m) - psi2(m-1) with P-value Q(2^(m-2), nabla/2),
+    and second difference with P-value Q(2^(m-3), nabla2/2).  Relaxed
+    mode still needs n >= 2^(m-1), so the 2^m pattern counters never
+    outnumber 2n.
+    """
+    seq = _sequence(bits)
+    n = seq.n
     m = require_int(m, "serial: pattern length m", 2)
     _require_length(n, max(100, 1 << (m + 3)), 1 << (m - 1), relaxed, "serial")
-    return m
-
-
-def _serial_results(counts: list[np.ndarray], n: int, m: int) -> tuple[TestResult, TestResult]:
-    # counts[i] holds the (m-i)-bit pattern counts.
+    counts = seq.pattern_counts(m)
     psi_m = _psi_sq(counts[0], n)
     psi_m1 = _psi_sq(counts[1], n)
     psi_m2 = _psi_sq(counts[2], n) if m > 2 else 0.0
@@ -500,38 +521,6 @@ def _serial_results(counts: list[np.ndarray], n: int, m: int) -> tuple[TestResul
     )
 
 
-def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestResult]:
-    """Frequency balance of overlapping m-bit patterns (wraparound).
-
-    Returns the two standard statistics: first difference
-    nabla psi2 = psi2(m) - psi2(m-1) with P-value Q(2^(m-2), nabla/2),
-    and second difference with P-value Q(2^(m-3), nabla2/2).  Relaxed
-    mode still needs n >= 2^(m-1), so the 2^m pattern counters never
-    outnumber 2n.
-    """
-    seq = _sequence(bits)
-    m = _serial_m(seq.n, m, relaxed)
-    return _serial_results(_pattern_counts(seq, m), seq.n, m)
-
-
-def _apen_m(n: int, m, relaxed: bool) -> int:
-    m = require_int(m, "approximate-entropy: pattern length m", 1)
-    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
-    return m
-
-
-def _apen_result(counts: list[np.ndarray], n: int, m: int) -> TestResult:
-    # counts[i] holds the (m+1-i)-bit pattern counts.
-    def phi(c: np.ndarray) -> float:
-        pos = c[c > 0] / n
-        return float(np.sum(pos * np.log(pos)))
-
-    apen = phi(counts[1]) - phi(counts[0])
-    chi2 = max(0.0, 2.0 * n * (math.log(2.0) - apen))
-    p = gammainc_upper(2.0 ** (m - 1), chi2 / 2.0)
-    return TestResult("approximate-entropy", chi2, p, {"m": m, "apen": apen})
-
-
 def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     """Approximate entropy of overlapping patterns of lengths m and m+1.
 
@@ -541,8 +530,19 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     2^(m+1) pattern counters never outnumber 2n.
     """
     seq = _sequence(bits)
-    m = _apen_m(seq.n, m, relaxed)
-    return _apen_result(_pattern_counts(seq, m + 1), seq.n, m)
+    n = seq.n
+    m = require_int(m, "approximate-entropy: pattern length m", 1)
+    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
+    counts = seq.pattern_counts(m + 1)
+
+    def phi(c: np.ndarray) -> float:
+        pos = c[c > 0] / n
+        return float(np.sum(pos * np.log(pos)))
+
+    apen = phi(counts[1]) - phi(counts[0])
+    chi2 = max(0.0, 2.0 * n * (math.log(2.0) - apen))
+    p = gammainc_upper(2.0 ** (m - 1), chi2 / 2.0)
+    return TestResult("approximate-entropy", chi2, p, {"m": m, "apen": apen})
 
 
 _MIN_P_VALUES = 55
@@ -621,26 +621,16 @@ class BatteryReport:
 
 def _run_all_tests(bits, relaxed: bool, block_len: int, serial_m: int, apen_m: int) -> list[TestResult]:
     seq = _Sequence(bits)
-    results = [
+    return [
         frequency_monobit(seq, relaxed),
         block_frequency(seq, block_len, relaxed),
         runs_test(seq, relaxed),
         longest_run(seq),
         spectral_dft(seq, relaxed),
+        *cumulative_sums(seq, relaxed),
+        *serial(seq, serial_m, relaxed),
+        approximate_entropy(seq, apen_m, relaxed),
     ]
-    results.extend(cumulative_sums(seq, relaxed))
-    # One pattern table for serial and approximate entropy: the shorter
-    # patterns' counts are exact folds of the longer ones', so each test
-    # reads the same counts it would count itself.  Both length checks
-    # run first, in the standalone order.
-    n = seq.n
-    serial_m = _serial_m(n, serial_m, relaxed)
-    apen_m = _apen_m(n, apen_m, relaxed)
-    width = max(serial_m, apen_m + 1)
-    counts = _pattern_counts(seq, width)
-    results.extend(_serial_results(counts[width - serial_m:], n, serial_m))
-    results.append(_apen_result(counts[width - apen_m - 1:], n, apen_m))
-    return results
 
 
 # Two-statistic tests whose P_T values additionally get an averaged,

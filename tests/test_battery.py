@@ -33,8 +33,6 @@ from chaosbits import (
 )
 from chaosbits.battery import TestResult as Result  # a Test* name would be collected
 from chaosbits.battery import (
-    _apen_m,
-    _apen_result,
     _block_ones,
     _changes,
     _cusum_p,
@@ -43,8 +41,6 @@ from chaosbits.battery import (
     _require_length,
     _run_all_tests,
     _Sequence,
-    _serial_m,
-    _serial_results,
     _walk_extremes,
     gammainc_upper,
 )
@@ -454,18 +450,74 @@ def test_pattern_counts_match_per_length_reference(case):
         np.testing.assert_array_equal(c, reference_pattern_counts(b, m - i))
 
 
-@pytest.mark.parametrize("serial_m, apen_m", [(10, 10), (12, 3), (2, 9), (5, 4)])
+PATTERN_PAIRS = [(10, 10), (13, 7), (12, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("serial_m, apen_m", [*PATTERN_PAIRS, (2, 9), (3, 12)])
 def test_battery_shares_one_pattern_table_bit_exactly(serial_m, apen_m):
-    # The battery counts max(serial_m, apen_m + 1)-bit patterns once and
-    # folds them for both tests; every result equals the standalone one.
+    # Serial and approximate entropy read one pattern table of the
+    # sequence; every result equals the standalone call on the raw bits.
+    # (3, 12) is relaxed: 2^17 bits are below approximate entropy's strict
+    # minimum at m = 12.
+    relaxed = apen_m > 11
     seq = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 1 << 17)
-    results = _run_all_tests(seq, False, 20000, serial_m, apen_m)
-    assert results[-3:] == [*serial(seq, serial_m), approximate_entropy(seq, apen_m)]
+    results = _run_all_tests(seq, relaxed, 20000, serial_m, apen_m)
+    assert results == [
+        frequency_monobit(seq, relaxed),
+        block_frequency(seq, 20000, relaxed),
+        runs_test(seq, relaxed),
+        longest_run(seq),
+        spectral_dft(seq, relaxed),
+        *cumulative_sums(seq, relaxed),
+        *serial(seq, serial_m, relaxed),
+        approximate_entropy(seq, apen_m, relaxed),
+    ]
 
 
-def test_battery_checks_both_pattern_lengths_before_counting():
+@pytest.fixture
+def pattern_count_widths(monkeypatch):
+    # The width of every table battery._pattern_counts counts.
+    widths = []
+
+    def spy(bits, m):
+        widths.append(m)
+        return _pattern_counts(bits, m)
+
+    monkeypatch.setattr("chaosbits.battery._pattern_counts", spy)
+    return widths
+
+
+@pytest.mark.parametrize("serial_m, apen_m", PATTERN_PAIRS)
+def test_each_sequence_counts_its_patterns_once(pattern_count_widths, serial_m, apen_m):
+    config = GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076))
+    run_battery(config, 3, 1 << 14, relaxed=True, block_len=1000, serial_m=serial_m, apen_m=apen_m)
+    assert len(pattern_count_widths) == 3
+
+
+def test_either_pattern_test_order_counts_once(pattern_count_widths):
+    b = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 1 << 14)
+    seq = _Sequence(b)
+    first = [*serial(seq, 10, True), approximate_entropy(seq, 10, True)]
+    assert pattern_count_widths == [11]
+    seq = _Sequence(b)
+    second = [approximate_entropy(seq, 10, True), *serial(seq, 10, True)]
+    assert pattern_count_widths == [11, 12]
+    assert first == [*second[1:], second[0]]
+
+
+@pytest.mark.parametrize("n, counters", [(1023, 1024), (1024, 2048)])
+def test_pattern_table_holds_at_most_2n_counters(pattern_count_widths, n, counters):
+    # Serial at m = 10 accepts n >= 2^9 when relaxed; one bit wider only from n = 2^10.
+    seq = _Sequence(np.resize(np.array([0, 1, 1], dtype=np.uint8), n))
+    serial(seq, 10, relaxed=True)
+    assert [1 << m for m in pattern_count_widths] == [counters]
+    assert counters <= 2 * n
+
+
+def test_battery_checks_each_pattern_length_before_counting():
     # Both too long for the input: serial's message comes first, as when
-    # the tests run one by one.
+    # the tests run one by one.  With serial's m valid, serial counts and
+    # then approximate entropy rejects its own m before counting.
     seq = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 4096)
     with pytest.raises(ValueError, match="^serial: sequence length 4096 is below the minimum 8192"):
         _run_all_tests(seq, True, 400, 14, 13)
@@ -572,24 +624,25 @@ def per_bit_pattern_counts(b, m):
     return counts
 
 
+class PerBitSequence(_Sequence):
+    def pattern_counts(self, m):
+        return per_bit_pattern_counts(self.bits, m)
+
+
 def per_bit_run_all_tests(bits, relaxed, block_len, serial_m, apen_m):
+    # Bit-by-bit counts, fed into the battery's own pattern statistics.
     b = require_bits(bits)
-    n = b.size
-    results = [
+    seq = PerBitSequence(b)
+    return [
         per_bit_monobit(b, relaxed),
         per_bit_block_frequency(b, block_len, relaxed),
         per_bit_runs(b, relaxed),
         longest_run(b),
         per_bit_spectral(b, relaxed),
         *per_bit_cumulative_sums(b, relaxed),
+        *serial(seq, serial_m, relaxed),
+        approximate_entropy(seq, apen_m, relaxed),
     ]
-    serial_m = _serial_m(n, serial_m, relaxed)
-    apen_m = _apen_m(n, apen_m, relaxed)
-    width = max(serial_m, apen_m + 1)
-    counts = per_bit_pattern_counts(b, width)
-    results.extend(_serial_results(counts[width - serial_m:], n, serial_m))
-    results.append(_apen_result(counts[width - apen_m - 1:], n, apen_m))
-    return results
 
 
 def outcome(call, *args):

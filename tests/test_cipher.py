@@ -3,6 +3,7 @@
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from chaosbits import (
@@ -213,6 +214,32 @@ def test_key_sensitivity_adjacent_seeds():
     enc_b = xor_cipher(img, scheme6_config(484077)).pixels
     frac = sum(1 for a, b in zip(enc_a, enc_b) if a != b) / len(enc_a)
     assert frac >= 0.45
+
+
+# scheme-6/484077's state orbit repeats every 727,512 blocks, 454,695
+# keystream bytes, and from byte 1,394,226 on every pad byte equals the
+# byte one period earlier.
+PAD_PERIOD = 454_695
+PAD_REPEATS_FROM = 1_394_226
+
+
+def test_pad_repeats_inside_one_image():
+    # A two-time pad within one image: past the repeat point, ciphertext
+    # XOR the ciphertext one period earlier is plaintext XOR plaintext.
+    w, h = 1400, 1000
+    assert w * h >= PAD_REPEATS_FROM + 4096
+    rng = np.random.default_rng(20261020)
+    buf = io.BytesIO()
+    write_pgm(GrayscaleImage(w, h, rng.integers(0, 256, w * h, dtype=np.uint8).tobytes()), buf)
+    plain = read_pgm(io.BytesIO(buf.getvalue()))
+    enc = xor_cipher(plain, scheme6_config(484077))
+    p = np.frombuffer(plain.pixels, dtype=np.uint8)
+    c = np.frombuffer(enc.pixels, dtype=np.uint8)
+    # leak[j] compares the bytes at i = j + PAD_PERIOD and i - PAD_PERIOD.
+    leak = (c[PAD_PERIOD:] ^ c[:-PAD_PERIOD]) == (p[PAD_PERIOD:] ^ p[:-PAD_PERIOD])
+    start = PAD_REPEATS_FROM - PAD_PERIOD
+    assert leak[start:].all()
+    assert not leak[start - 1]
 
 
 def test_chi_square_uniformity_closed_forms():
