@@ -36,38 +36,33 @@ __all__ = [
 class CorrelationSeries:
     """Correlation values over a lag range.
 
-    lags runs 0..max_lag.  For an autocorrelation of any non-constant
-    input, the value at lag 0 is exactly 1.  degenerate marks inputs
-    whose centered energy vanishes (constant sequences), for which the
-    estimator is undefined and a fixed convention is reported instead.
+    values[t] is the value at lag t, for t = 0..max_lag.  For an
+    autocorrelation of any non-constant input, the value at lag 0 is
+    exactly 1.  degenerate marks inputs whose centered energy vanishes
+    (constant sequences), for which the estimator is undefined and a
+    fixed convention is reported instead.
     """
 
-    lags: tuple[int, ...]
     values: tuple[float, ...]
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSpectrum:
     """Squared-magnitude spectrum of the +/-1-mapped sequence.
 
-    bins holds frequency indices 0..n//2 (DC through Nyquist) with
-    their |X_k|^2 powers.  flatness is the ratio of the largest non-DC
-    bin to the mean non-DC bin (infinite when the non-DC spectrum is
-    empty of energy).  time_energy is sum(x^2) = n and spectral_energy
-    is the full-spectrum (1/n) sum |X_k|^2; Parseval makes them equal
-    up to rounding.
+    power[k] is |X_k|^2 at frequency index k = 0..n//2 (DC through
+    Nyquist), a read-only float64 array.  flatness is the ratio of the
+    largest non-DC bin to the mean non-DC bin (infinite when the non-DC
+    spectrum is empty of energy).  time_energy is sum(x^2) = n and
+    spectral_energy is the full-spectrum (1/n) sum |X_k|^2; Parseval
+    makes them equal up to rounding.  Spectra do not compare with ==.
     """
 
-    bins: tuple[int, ...]
-    power: tuple[float, ...]
+    power: np.ndarray
     flatness: float
     time_energy: float
     spectral_energy: float
-
-    def pairs(self) -> list[tuple[int, float]]:
-        """The spectrum as (frequency_index, power) pairs."""
-        return list(zip(self.bins, self.power))
 
 
 @dataclass(frozen=True)
@@ -124,13 +119,10 @@ def autocorrelation(bits, max_lag: int) -> CorrelationSeries:
         raise ValueError(f"autocorrelation: sequence length {n} must exceed max_lag {max_lag}")
     a = x - x.mean()
     energy = float(np.sum(a * a))
-    lags = tuple(range(max_lag + 1))
     if energy == 0.0:
-        values = (1.0,) + (0.0,) * max_lag
-        return CorrelationSeries(lags, values, degenerate=True)
+        return CorrelationSeries((1.0,) + (0.0,) * max_lag, degenerate=True)
     sums = _lagged_sums(a, a, max_lag)
-    values = (1.0,) + tuple((sums[1:] / energy).tolist())
-    return CorrelationSeries(lags, values)
+    return CorrelationSeries((1.0,) + tuple((sums[1:] / energy).tolist()))
 
 
 def cross_correlation(bits_a, bits_b, max_lag: int) -> CorrelationSeries:
@@ -153,53 +145,33 @@ def cross_correlation(bits_a, bits_b, max_lag: int) -> CorrelationSeries:
     a = xa - xa.mean()
     b = xb - xb.mean()
     norm = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
-    lags = tuple(range(max_lag + 1))
     if norm == 0.0:
-        return CorrelationSeries(lags, (0.0,) * (max_lag + 1), degenerate=True)
-    values = tuple((_lagged_sums(a, b, max_lag) / norm).tolist())
-    return CorrelationSeries(lags, values)
+        return CorrelationSeries((0.0,) * (max_lag + 1), degenerate=True)
+    return CorrelationSeries(tuple((_lagged_sums(a, b, max_lag) / norm).tolist()))
 
 
 def power_spectrum(bits) -> PowerSpectrum:
     """Squared-magnitude DFT spectrum of the +/-1 sequence.
 
-    Emits bins 0..n//2 (DC through Nyquist).  Requires at least 64
-    bits; below that a spectrum is too coarse to summarize.
+    Emits bins 0..n//2 (DC through Nyquist), the n//2 + 1 outputs of a
+    real FFT of n points.  Requires at least 64 bits; below that a
+    spectrum is too coarse to summarize.
     """
-    power, flatness, time_energy, spectral_energy = _spectrum(bits)
-    return PowerSpectrum(
-        bins=tuple(range(power.size)),
-        power=tuple(power.tolist()),
-        flatness=flatness,
-        time_energy=time_energy,
-        spectral_energy=spectral_energy,
-    )
-
-
-def _spectrum(bits) -> tuple[np.ndarray, float, float, float]:
-    """power_spectrum's powers as an array, then its flatness, time energy and spectral energy."""
     x = 2.0 * require_bits(bits) - 1.0
     n = x.size
     if n < 64:
         raise ValueError(f"power_spectrum: sequence length {n} is below the minimum 64")
-    spectrum = np.fft.rfft(x)
-    power = np.abs(spectrum) ** 2
-    half = n // 2
-    power = power[: half + 1]
+    power = np.abs(np.fft.rfft(x)) ** 2
+    power.setflags(write=False)
     # Full-spectrum energy from the half spectrum: every bin except DC
     # (and Nyquist, for even n) appears twice in the full transform.
     full = 2.0 * float(power.sum()) - float(power[0])
     if n % 2 == 0:
         full -= float(power[-1])
-    spectral_energy = full / n
-    time_energy = float(n)
     non_dc = power[1:]
     mean_non_dc = float(non_dc.mean())
-    if mean_non_dc > 0.0:
-        flatness = float(non_dc.max()) / mean_non_dc
-    else:
-        flatness = math.inf
-    return power, flatness, time_energy, spectral_energy
+    flatness = float(non_dc.max()) / mean_non_dc if mean_non_dc > 0.0 else math.inf
+    return PowerSpectrum(power, flatness, time_energy=float(n), spectral_energy=full / n)
 
 
 class _BudgetHit(Exception):

@@ -29,12 +29,12 @@ from contextlib import contextmanager, suppress
 
 from .analysis import (
     BudgetExceeded,
-    _spectrum,
     autocorrelation,
     cross_correlation,
     detect_cycle,
     phase_distance,
     phase_distance_tail_bound,
+    power_spectrum,
 )
 from .battery import report_to_csv, report_to_text, run_battery
 from .cipher import (
@@ -236,6 +236,8 @@ def cmd_test(args) -> int:
 def cmd_analyze(args) -> int:
     if args.max_lag < 1:
         raise ValueError("--max-lag must be at least 1")
+    if args.ccf_csv is not None and args.cross_with is None:
+        raise ValueError("--ccf-csv writes the --cross-with correlation; give one")
     if args.infile is not None:
         if _flag_entries(args) or args.config is not None or args.seed_from_time or args.count is not None:
             raise ValueError("--in reads the bits from a file; do not add generator flags or --count")
@@ -244,32 +246,35 @@ def cmd_analyze(args) -> int:
     else:
         config, _ = _resolve_config(args)
         bits = ChaoticBitGenerator(config).bits(100000 if args.count is None else args.count)
-    n = len(bits)
-
-    _keep_freed_heap()
-    auto = autocorrelation(bits, args.max_lag)
-    # power_spectrum's numbers, without the per-bin tuples that only --spectrum-csv prints.
-    power, flatness, time_energy, spectral_energy = _spectrum(bits)
-    bound = 4.0 / (n ** 0.5)
-    tail = [v for v in auto.values[1:] if abs(v) > bound]
-    rel = abs(spectral_energy - time_energy) / time_energy
-    _write_text("-", f"length: {n}\n"
-                f"autocorrelation: lag0={auto.values[0]:.6f}{' (degenerate input)' if auto.degenerate else ''}\n"
-                f"autocorrelation: {len(tail)} of {args.max_lag} lags exceed 4/sqrt(n)={bound:.6g}\n"
-                f"spectrum: flatness={flatness:.6g} parseval_rel_err={rel:.3g}\n")
-    if args.acf_csv is not None:
-        _write_pairs(args.acf_csv, "lag,value", zip(auto.lags, auto.values))
-    if args.spectrum_csv is not None:
-        _write_pairs(args.spectrum_csv, "bin,power", enumerate(power.tolist()))
+    other = None
     if args.cross_with is not None:
         with open(args.cross_with, "r", encoding="ascii") as fh:
             other = parse_ascii_bits(fh.read())
-        cross = cross_correlation(bits, other, args.max_lag)
+    n = len(bits)
+
+    # Every result is in before the first write, so a usage error writes nothing.
+    _keep_freed_heap()
+    auto = autocorrelation(bits, args.max_lag)
+    spec = power_spectrum(bits)
+    cross = None if other is None else cross_correlation(bits, other, args.max_lag)
+
+    bound = 4.0 / (n ** 0.5)
+    tail = [v for v in auto.values[1:] if abs(v) > bound]
+    rel = abs(spec.spectral_energy - spec.time_energy) / spec.time_energy
+    _write_text("-", f"length: {n}\n"
+                f"autocorrelation: lag0={auto.values[0]:.6f}{' (degenerate input)' if auto.degenerate else ''}\n"
+                f"autocorrelation: {len(tail)} of {args.max_lag} lags exceed 4/sqrt(n)={bound:.6g}\n"
+                f"spectrum: flatness={spec.flatness:.6g} parseval_rel_err={rel:.3g}\n")
+    if args.acf_csv is not None:
+        _write_pairs(args.acf_csv, "lag,value", enumerate(auto.values))
+    if args.spectrum_csv is not None:
+        _write_pairs(args.spectrum_csv, "bin,power", enumerate(spec.power.tolist()))
+    if cross is not None:
         peak = max(abs(v) for v in cross.values)
         _write_text("-", f"cross-correlation: max|r|={peak:.6g} over lags 0..{args.max_lag}"
                     f"{' (degenerate input)' if cross.degenerate else ''}\n")
         if args.ccf_csv is not None:
-            _write_pairs(args.ccf_csv, "lag,value", zip(cross.lags, cross.values))
+            _write_pairs(args.ccf_csv, "lag,value", enumerate(cross.values))
     return 0
 
 

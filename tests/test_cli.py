@@ -707,6 +707,27 @@ def test_analyze_file_input_rejects_generator_flags(tmp_path, capsys, flags):
     assert "usage error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--cross-with", "SHORT", "--acf-csv", "OUT", "--spectrum-csv", "OUT2"], id="cross-length"),
+        pytest.param(["--ccf-csv", "OUT"], id="ccf-without-cross"),
+    ],
+)
+def test_analyze_usage_error_writes_nothing(tmp_path, capsys, flags):
+    # Every result is computed before the first write, so a usage error
+    # leaves stdout empty and creates no CSV.
+    bits = tmp_path / "a.txt"
+    bits.write_text("0110" * 50 + "\n")
+    short = tmp_path / "short.txt"
+    short.write_text("0110" * 25 + "\n")
+    names = {"SHORT": str(short), "OUT": str(tmp_path / "out.csv"), "OUT2": str(tmp_path / "out2.csv")}
+    assert main(["analyze", "--in", str(bits), "--max-lag", "10", *[names.get(f, f) for f in flags]]) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "short.txt"]
+
+
 # -- cycle -----------------------------------------------------------------------------
 
 
