@@ -1,9 +1,14 @@
 """The compiled logistic block loop (``_blockloop.c``), built on first use.
 
 `load` compiles the C source with ``gcc`` into the user cache directory
-(``$XDG_CACHE_HOME/chaosbits``, else ``~/.cache/chaosbits``), under a
-name keyed by a hash of the source, the flags and the machine type, and
-loads it through ctypes.  A build is written to a temporary name and
+(``$XDG_CACHE_HOME/chaosbits`` when that is an absolute path, else
+``~/.cache/chaosbits``), under a name keyed by a 64-bit checksum of the
+source, the flags and the machine type, and loads it through ctypes.
+The key is zlib's crc32 and adler32 of those bytes, not a hashlib
+digest: zlib is already loaded with numpy, while hashlib maps OpenSSL's
+libcrypto, ~3.6 MiB resident in every command.  The key only names a
+cache file and guards nothing; whoever can write to the cache can plant
+a library under any name.  A build is written to a temporary name and
 renamed into place, so a concurrent process never loads a half-written
 library.  Libraries are never deleted: each source, flag set and
 machine type keeps its own, so checkouts of different sources that
@@ -17,13 +22,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import platform
 import shutil
 import subprocess
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_blockloop.c")
@@ -54,8 +59,10 @@ class KernelState(ctypes.Structure):
 
 
 def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "chaosbits"
+    # The XDG Base Directory spec says a relative path is invalid and must
+    # be ignored, like an unset variable.
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "chaosbits"
 
 
 def _build(gcc: str, target: Path) -> None:
@@ -82,7 +89,7 @@ def load():
         return None
     try:
         key = b"\0".join([_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), platform.machine().encode()])
-        target = _cache_dir() / f"blockloop-{hashlib.sha256(key).hexdigest()[:16]}.so"
+        target = _cache_dir() / f"blockloop-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
         if not target.exists():
             _build(gcc, target)
         fn = ctypes.CDLL(str(target)).chaosbits_advance

@@ -7,6 +7,7 @@ patched away, which leaves every generator on the Python loop.
 """
 
 import functools
+import platform
 import shutil
 import tracemalloc
 from unittest import mock
@@ -67,9 +68,12 @@ def test_build_into_fresh_cache_leaves_one_library(tmp_path, monkeypatch):
         assert fn is None
 
 
-def test_builds_from_two_sources_share_one_cache(tmp_path, monkeypatch):
-    # Two checkouts whose sources differ keep a library each, so
-    # alternating between them builds nothing after the first two loads.
+@pytest.mark.parametrize("part", ["source", "flags", "machine"])
+def test_builds_of_two_keys_share_one_cache(tmp_path, monkeypatch, part):
+    # The library's name keys the source, the flags and the machine type.
+    # A change of any one part builds a second library, as two checkouts
+    # whose sources differ do, and alternating between the two keys
+    # builds nothing after the first two loads.
     if not shutil.which("gcc"):
         pytest.skip("needs gcc to build the library")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -83,12 +87,28 @@ def test_builds_from_two_sources_share_one_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(_blockloop, "_build", build)
     edited = tmp_path / "_blockloop.c"
     edited.write_text(_blockloop._SOURCE.read_text() + "/* edited */\n")
-    sources = [_blockloop._SOURCE, edited]
-    for source in sources + sources:
-        monkeypatch.setattr(_blockloop, "_SOURCE", source)
+    other_machine = f"not-{platform.machine()}"
+    owner, name, values = {
+        "source": (_blockloop, "_SOURCE", [_blockloop._SOURCE, edited]),
+        "flags": (_blockloop, "_FLAGS", [_blockloop._FLAGS, (*_blockloop._FLAGS, "-g")]),
+        "machine": (platform, "machine", [platform.machine, lambda: other_machine]),
+    }[part]
+    for value in values + values:
+        monkeypatch.setattr(owner, name, value)
         assert _blockloop.load.__wrapped__() is not None
     assert len(builds) == 2 and builds[0] != builds[1]
     assert sorted((tmp_path / "cache" / "chaosbits").iterdir()) == sorted(builds)
+
+
+def test_relative_cache_home_is_ignored(tmp_path, monkeypatch):
+    # The XDG Base Directory spec: a relative XDG_CACHE_HOME is invalid
+    # and ignored, so the cache stays in one place whatever the working
+    # directory; an absolute one is used as it is.
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "rel/dir")
+    assert _blockloop._cache_dir() == tmp_path / "home" / ".cache" / "chaosbits"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert _blockloop._cache_dir() == tmp_path / "xdg" / "chaosbits"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import hashlib
 import io
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +282,49 @@ def test_battery_reuses_its_pages_across_sequences():
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
     two, six = (int(v) for v in probe.stderr.split())
     assert six - two <= 500, (two, six)
+
+
+# Runs each command that builds a generator once, at a small size, in one
+# interpreter; then prints to stderr each exit code, whether the commands
+# loaded the block loop, the backend a generator runs on, and whether
+# OpenSSL's _hashlib was imported.
+NO_OPENSSL_PROBE = """
+import os, sys
+import chaosbits
+from chaosbits.cli import main
+
+plain, cipher = sys.argv[1:]
+seed = ["--seed", "484076"]
+codes = [main(argv) for argv in (
+    ["gen", "--scheme", "scheme-6", *seed, "--count", "1000", "--format", "raw", "--out", os.devnull],
+    ["gen", "--scheme", "scheme-1", *seed, "--count", "1000", "--wrap", "64", "--out", os.devnull],
+    ["test", "--scheme", "scheme-1", *seed, "--length", "20000", "--sequences", "2", "--block-len", "2000",
+     "--serial-m", "4", "--apen-m", "4"],
+    ["analyze", "--scheme", "scheme-6", *seed, "--count", "2000", "--max-lag", "10"],
+    ["cycle", "--scheme", "scheme-6", *seed, "--budget", "1000"],
+    ["encrypt", "--scheme", "scheme-6", *seed, "--in", plain, "--out", cipher],
+)]
+loaded = chaosbits._blockloop.load.cache_info().currsize
+cfg = chaosbits.GeneratorConfig(5, (14, 15), chaosbits.SeedSpec.from_time(484076))
+backend = chaosbits.ChaoticBitGenerator(cfg).backend
+print(*codes, loaded, backend, "_hashlib" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_no_command_loads_openssl(tmp_path, fixture_pgm):
+    # The block loop's cache key is a zlib checksum: hashlib would load
+    # OpenSSL's libcrypto, ~3.6 MiB resident, into every command.  pytest
+    # may import hashlib itself, so the commands run in a fresh interpreter.
+    probe = subprocess.run([sys.executable, "-c", NO_OPENSSL_PROBE, fixture_pgm, str(tmp_path / "cipher.pgm")],
+                           env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                           check=True, timeout=120)
+    *codes, loaded, backend, hashlib_loaded = probe.stderr.splitlines()[-1].split()
+    # cycle's budget of 1000 blocks runs out before the orbit repeats: exit 1.
+    assert codes == ["0", "0", "0", "0", "1", "0"]
+    assert loaded == "1"
+    if shutil.which("gcc"):
+        assert backend == "c"
+    assert hashlib_loaded == "False"
 
 
 def test_gen_failure_keeps_written_chunks(tmp_path, monkeypatch, capsys):
