@@ -490,6 +490,20 @@ def _pattern_counts(bits, m: int) -> list[np.ndarray]:
     return counts
 
 
+def _serial_m(n: int, m, relaxed: bool) -> int:
+    """Serial's pattern length m, checked against an n-bit sequence."""
+    m = require_int(m, "serial: pattern length m", 2)
+    _require_length(n, max(100, 1 << (m + 3)), 1 << (m - 1), relaxed, "serial")
+    return m
+
+
+def _apen_m(n: int, m, relaxed: bool) -> int:
+    """Approximate entropy's pattern length m, checked against an n-bit sequence."""
+    m = require_int(m, "approximate-entropy: pattern length m", 1)
+    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
+    return m
+
+
 def _psi_sq(counts: np.ndarray, n: int) -> float:
     return (counts.size / n) * float(np.dot(counts, counts)) - n
 
@@ -505,8 +519,7 @@ def serial(bits, m: int = 10, relaxed: bool = False) -> tuple[TestResult, TestRe
     """
     seq = _sequence(bits)
     n = seq.n
-    m = require_int(m, "serial: pattern length m", 2)
-    _require_length(n, max(100, 1 << (m + 3)), 1 << (m - 1), relaxed, "serial")
+    m = _serial_m(n, m, relaxed)
     counts = seq.pattern_counts(m)
     psi_m = _psi_sq(counts[0], n)
     psi_m1 = _psi_sq(counts[1], n)
@@ -531,8 +544,7 @@ def approximate_entropy(bits, m: int = 10, relaxed: bool = False) -> TestResult:
     """
     seq = _sequence(bits)
     n = seq.n
-    m = require_int(m, "approximate-entropy: pattern length m", 1)
-    _require_length(n, max(100, 1 << (m + 6)), 1 << m, relaxed, "approximate-entropy")
+    m = _apen_m(n, m, relaxed)
     counts = seq.pattern_counts(m + 1)
 
     def phi(c: np.ndarray) -> float:
@@ -621,16 +633,25 @@ class BatteryReport:
 
 def _run_all_tests(bits, relaxed: bool, block_len: int, serial_m: int, apen_m: int) -> list[TestResult]:
     seq = _Sequence(bits)
-    return [
+    results = [
         frequency_monobit(seq, relaxed),
         block_frequency(seq, block_len, relaxed),
         runs_test(seq, relaxed),
         longest_run(seq),
         spectral_dft(seq, relaxed),
         *cumulative_sums(seq, relaxed),
-        *serial(seq, serial_m, relaxed),
-        approximate_entropy(seq, apen_m, relaxed),
     ]
+    # Serial reads m-bit patterns and approximate entropy (m+1)-bit ones,
+    # and a first count is one bit wider than asked where the input allows
+    # it.  So approximate entropy needs a wider table than serial's only
+    # when its m is the larger; it then counts first and serial folds its
+    # table, and each sequence is counted once.  Both lengths are checked
+    # first, serial's before approximate entropy's, as when serial runs first.
+    m = _serial_m(seq.n, serial_m, relaxed)
+    if _apen_m(seq.n, apen_m, relaxed) > m:
+        entropy = approximate_entropy(seq, apen_m, relaxed)
+        return [*results, *serial(seq, serial_m, relaxed), entropy]
+    return [*results, *serial(seq, serial_m, relaxed), approximate_entropy(seq, apen_m, relaxed)]
 
 
 # Two-statistic tests whose P_T values additionally get an averaged,
@@ -639,6 +660,76 @@ _MEAN_ROWS = {
     "cumulative-sums-mean": ("cumulative-sums-forward", "cumulative-sums-backward"),
     "serial-mean": ("serial-1", "serial-2"),
 }
+
+
+class _Battery:
+    """One battery run: each sequence's results, and the report of them all.
+
+    run_battery runs the sequences in index order in its own process; the
+    CLI may split them between two (cli._battery_rows).  Either way every
+    sequence's results come from sequence() and the report from report(),
+    so both produce the same report.
+    """
+
+    def __init__(self, config: GeneratorConfig, n_sequences: int, seq_len: int, relaxed: bool,
+                 block_len: int, serial_m: int, apen_m: int):
+        self.n_sequences = require_int(n_sequences, "run_battery: n_sequences", 1)
+        self.seq_len = require_int(seq_len, "run_battery: seq_len", 1)
+        if config.seed.t is None and self.n_sequences > 1:
+            raise ValueError(
+                "run_battery: multiple sequences need a time-derived master seed "
+                "(the schedule derives sequence i from master+i)"
+            )
+        self.config = config
+        self.relaxed = relaxed
+        self._test_args = (relaxed, block_len, serial_m, apen_m)
+
+    def sequence(self, i: int) -> list[TestResult]:
+        """Every test's results on sequence i, seeded master+i; a dead seed raises with context."""
+        config = self.config
+        if config.seed.t is not None:
+            config = replace(config, seed=SeedSpec.from_time(config.seed.t + i))
+        try:
+            bits = generate_bits(config, self.seq_len)
+        except DegenerateSeedError as exc:
+            raise DegenerateSeedError(
+                f"sequence {i} (seed schedule master+{i}) died: {exc}"
+            ) from exc
+        return _run_all_tests(bits, *self._test_args)
+
+    def report(self, per_sequence: list[list[TestResult]]) -> BatteryReport:
+        """The report of every sequence's results, given in index order."""
+        rows: dict[str, list[TestResult]] = {}
+        for results in per_sequence:
+            for result in results:
+                rows.setdefault(result.test_name, []).append(result)
+
+        p_t = {name: _p_uniformity(np.array([r.p_value for r in results])) for name, results in rows.items()}
+        for mean_name, components in _MEAN_ROWS.items():
+            p_t[mean_name] = sum(p_t[c] for c in components) / len(components)
+        entries = tuple(
+            BatteryEntry(
+                test_name=name,
+                results=tuple(rows.get(name, ())),
+                p_t=p,
+                passed=p >= P_T_THRESHOLD,
+                informational=name in _MEAN_ROWS,
+            )
+            for name, p in sorted(p_t.items())
+        )
+        notes = ["relaxed mode: recommended minimum lengths are not enforced"] if self.relaxed else []
+        if self.n_sequences < _MIN_P_VALUES:
+            # Every row holds one P-value per sequence, so one note covers them all.
+            notes.append(_few_p_values(self.n_sequences))
+
+        return BatteryReport(
+            entries=entries,
+            n_sequences=self.n_sequences,
+            seq_len=self.seq_len,
+            relaxed=self.relaxed,
+            warnings=tuple(notes),
+            config_text=config_to_text(self.config),
+        )
 
 
 def run_battery(
@@ -657,57 +748,11 @@ def run_battery(
     the config's time-derived seed, so a master seed fixes the whole
     report; an explicit (x0, y0) seed is accepted only for a single
     sequence, since it admits no schedule.  A sequence that fails to
-    generate aborts the whole batch with context.
+    generate aborts the whole batch with context.  The sequences run one
+    after another in the calling process.
     """
-    n_sequences = require_int(n_sequences, "run_battery: n_sequences", 1)
-    seq_len = require_int(seq_len, "run_battery: seq_len", 1)
-    if config.seed.t is None and n_sequences > 1:
-        raise ValueError(
-            "run_battery: multiple sequences need a time-derived master seed "
-            "(the schedule derives sequence i from master+i)"
-        )
-
-    rows: dict[str, list[TestResult]] = {}
-    for i in range(n_sequences):
-        if config.seed.t is not None:
-            cfg_i = replace(config, seed=SeedSpec.from_time(config.seed.t + i))
-        else:
-            cfg_i = config
-        try:
-            seq = generate_bits(cfg_i, seq_len)
-        except DegenerateSeedError as exc:
-            raise DegenerateSeedError(
-                f"sequence {i} (seed schedule master+{i}) died: {exc}"
-            ) from exc
-        for result in _run_all_tests(seq, relaxed, block_len, serial_m, apen_m):
-            rows.setdefault(result.test_name, []).append(result)
-
-    p_t = {name: _p_uniformity(np.array([r.p_value for r in results])) for name, results in rows.items()}
-    for mean_name, components in _MEAN_ROWS.items():
-        p_t[mean_name] = sum(p_t[c] for c in components) / len(components)
-    entries = tuple(
-        BatteryEntry(
-            test_name=name,
-            results=tuple(rows.get(name, ())),
-            p_t=p,
-            passed=p >= P_T_THRESHOLD,
-            informational=name in _MEAN_ROWS,
-        )
-        for name, p in sorted(p_t.items())
-    )
-    notes = ["relaxed mode: recommended minimum lengths are not enforced"] if relaxed else []
-    if n_sequences < _MIN_P_VALUES:
-        # Every row holds one P-value per sequence, so one note covers them all.
-        notes.append(_few_p_values(n_sequences))
-
-    return BatteryReport(
-        entries=entries,
-        n_sequences=n_sequences,
-        seq_len=seq_len,
-        relaxed=relaxed,
-        warnings=tuple(notes),
-        config_text=config_to_text(config),
-    )
+    battery = _Battery(config, n_sequences, seq_len, relaxed, block_len, serial_m, apen_m)
+    return battery.report([battery.sequence(i) for i in range(battery.n_sequences)])
 
 
 def _params_text(params: dict) -> str:

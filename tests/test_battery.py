@@ -494,6 +494,17 @@ def test_each_sequence_counts_its_patterns_once(pattern_count_widths, serial_m, 
     assert len(pattern_count_widths) == 3
 
 
+@pytest.mark.parametrize("serial_m, apen_m, width", [(10, 10, 11), (2, 9, 11), (9, 2, 10)])
+def test_the_wider_pattern_table_is_counted_first(pattern_count_widths, serial_m, apen_m, width):
+    # Approximate entropy reads (m+1)-bit patterns, serial m-bit ones, and
+    # a first count is one bit wider than asked.  At (2, 9) approximate
+    # entropy's table is the wider: it counts first and serial folds it.
+    seq = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 1 << 14)
+    results = _run_all_tests(seq, True, 1000, serial_m, apen_m)
+    assert pattern_count_widths == [width]
+    assert results[-3:] == [*serial(seq, serial_m, True), approximate_entropy(seq, apen_m, True)]
+
+
 def test_either_pattern_test_order_counts_once(pattern_count_widths):
     b = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 1 << 14)
     seq = _Sequence(b)
@@ -514,15 +525,16 @@ def test_pattern_table_holds_at_most_2n_counters(pattern_count_widths, n, counte
     assert counters <= 2 * n
 
 
-def test_battery_checks_each_pattern_length_before_counting():
+def test_battery_checks_each_pattern_length_before_counting(pattern_count_widths):
     # Both too long for the input: serial's message comes first, as when
-    # the tests run one by one.  With serial's m valid, serial counts and
-    # then approximate entropy rejects its own m before counting.
+    # the tests run one by one.  With serial's m valid, approximate
+    # entropy rejects its own m, and no table has been counted.
     seq = generate_bits(GeneratorConfig(6, (9, 10), SeedSpec.from_time(484076)), 4096)
     with pytest.raises(ValueError, match="^serial: sequence length 4096 is below the minimum 8192"):
         _run_all_tests(seq, True, 400, 14, 13)
     with pytest.raises(ValueError, match="^approximate-entropy: sequence length 4096 is below the minimum 8192"):
         _run_all_tests(seq, True, 400, 3, 13)
+    assert pattern_count_widths == []
 
 
 # -- packed kernels against per-bit references --------------------------------

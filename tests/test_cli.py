@@ -258,15 +258,17 @@ def test_gen_reuses_its_pages_across_chunks():
     assert max(faults) <= 128, faults
 
 
-# Runs one test command to warm the process up, then prints the minor
-# page faults of a 2-sequence and a 6-sequence command to stderr.
+# Runs one test command to warm the process up, then prints to stderr the
+# minor page faults of a 6-sequence command in one process, and of a
+# 6-sequence and a 12-sequence command in two (this process's share).
 BATTERY_FAULT_PROBE = """
-import resource, sys
+import os, resource, sys
 from chaosbits.cli import main
 
 argv = ["test", "--scheme", "scheme-1", "--seed", "484076", "--length", "200000", "--sequences"]
 main(argv + ["1"])
-for n in ("2", "6"):
+for n, cpus in (("6", {0}), ("6", {0, 1}), ("12", {0, 1})):
+    os.sched_getaffinity = lambda pid: cpus
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     main(argv + [n])
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
@@ -274,14 +276,19 @@ for n in ("2", "6"):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="test tunes glibc's malloc")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="test forks")
 def test_battery_reuses_its_pages_across_sequences():
     # Each 2e5-bit sequence's temporaries (spectral's rfft among them) are
     # mapped and faulted in afresh, ~1,700 pages a sequence, unless malloc
-    # keeps them in the heap for the next sequence.
+    # keeps them in the heap for the next sequence.  6 and 12 sequences
+    # both run in two processes, this one running 3 and 6 of them.
     probe = subprocess.run([sys.executable, "-c", BATTERY_FAULT_PROBE], env=child_env(),
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
-    two, six = (int(v) for v in probe.stderr.split())
-    assert six - two <= 500, (two, six)
+    one, six, twelve = (int(v) for v in probe.stderr.split())
+    assert twelve - six <= 500, (six, twelve)
+    # The fork costs this process a one-off ~2,400 copy-on-write faults,
+    # whatever the number of sequences; its whole ~38 MiB is ~9,700 pages.
+    assert six - one <= 4000, (one, six)
 
 
 # Runs each command that builds a generator once, at a small size, in one
@@ -676,6 +683,132 @@ def test_battery_subcommand_failure_exit_1(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "battery verdict: FAIL" in out
+
+
+JUDGE_BATTERY = ["test", "--scheme", "scheme-1", "--seed", "484076", "--sequences", "10", "--length", "200000"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process."""
+    pids = []
+    real_fork = os.fork
+
+    def spy():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="two processes only where affinity is known")
+@pytest.mark.parametrize("argv, code", [
+    (JUDGE_BATTERY, 1),
+    # An odd count splits 3 + 2; every sequence passes here.
+    (["test", "--scheme", "scheme-6", "--seed", "484200", "--sequences", "5", "--length", "200000"], 0),
+    # A usage error in this process's first sequence: exit 2.
+    ([*JUDGE_BATTERY, "--block-len", "0"], 2),
+    # Dead seeds (y0 = 0.25) at master+1, in this process's half, and at
+    # master+5, the child's first: exit 3, from the lowest dead index.
+    (["test", "--scheme", "scheme-6", "--seed", "249999", "--sequences", "10", "--length", "200000"], 3),
+    (["test", "--scheme", "scheme-6", "--seed", "249995", "--sequences", "10", "--length", "200000"], 3),
+])
+def test_battery_in_two_processes_equals_one(tmp_path, capsys, monkeypatch, forks, argv, code):
+    outputs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        csv = tmp_path / f"cpus{len(cpus)}.csv"
+        outputs.append((main([*argv, "--csv", str(csv)]), capsys.readouterr(), csv.exists() and csv.read_bytes()))
+        assert_no_child_left()
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == code
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # Below the size that pays for a fork: 2e5 bits in all.
+    ["test", "--scheme", "scheme-1", "--seed", "484076", "--relaxed", "--sequences", "10", "--length", "20000"],
+    # One sequence has nothing to split.
+    ["test", "--scheme", "scheme-6", "--seed", "484200", "--sequences", "1", "--length", "1000000"],
+])
+def test_small_battery_runs_in_one_process(capsys, monkeypatch, forks, argv):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(argv) in (0, 1)
+    assert forks == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts open descriptors in /proc")
+def test_battery_runs_in_one_process_when_fork_fails(monkeypatch, capsys):
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fds = len(os.listdir("/proc/self/fd"))
+    assert main(JUDGE_BATTERY) == 1
+    assert capsys.readouterr().out.endswith("battery verdict: FAIL\n")
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="two processes only where affinity is known")
+def test_interrupted_battery_leaves_no_child(monkeypatch, capsys):
+    # Ctrl-C in this process's half: the child is killed and reaped.
+    parent = os.getpid()
+    sequence = chaosbits.battery._Battery.sequence
+
+    def interrupted(self, i):
+        if i == 1 and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return sequence(self, i)
+
+    monkeypatch.setattr(chaosbits.battery._Battery, "sequence", interrupted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(KeyboardInterrupt):
+        main(JUDGE_BATTERY)
+    assert_no_child_left()
+    assert capsys.readouterr().out == ""
+
+
+# Runs test as given on the given number of CPUs, then exits 100 if it
+# left a child process, else with test's exit code.
+DEAD_SEED_PROBE = """
+import os, sys
+from chaosbits.cli import main
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+code = main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(100)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="two processes only where os.fork exists")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("seed, dead", [("249999", 1), ("249995", 5)])
+def test_dead_seed_in_either_half_fails_as_in_one_process(unbuffered, seed, dead):
+    # Masters 249999 and 249995 reach y0 = 0.25 at master+1 and master+5:
+    # in this process's half of ten sequences, and in the child's.  The
+    # dead index is reported, with exit 3, as one process reports it.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["test", "--scheme", "scheme-6", "--seed", seed, "--sequences", "10", "--length", "200000"]
+    two, one = (subprocess.run([sys.executable, "-c", DEAD_SEED_PROBE, cpus, *argv], env=env, capture_output=True,
+                               timeout=120) for cpus in ("2", "1"))
+    assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
+    assert two.returncode == 3
+    assert two.stderr.decode().startswith(f"error: sequence {dead} (seed schedule master+{dead}) died")
 
 
 def test_battery_single_sequence_warns(capsys):
